@@ -24,7 +24,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::hash::{BuildHasher, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -764,7 +764,14 @@ thread_local! {
 /// zeroed, others not) — torn totals that break any invariant relating
 /// two counters. Ordinary increments still race a snapshot (each counter
 /// is independently `Relaxed`), which is inherent and fine: a snapshot
-/// is a point-in-time reading, not a barrier.
+/// is a point-in-time reading, not a barrier. So the guarantee is only
+/// this: no snapshot holds one counter from before a reset and another
+/// from after it.
+///
+/// The fences make that hold in the memory model, not just on x86: the
+/// reset's `Release` fence after its odd bump pairs with the snapshot's
+/// `Acquire` fence before its re-check, so a snapshot that loaded any
+/// zeroing store also sees the odd generation and retries.
 struct AtomicPepStats {
     /// Seqlock generation; odd ⇒ a reset is in progress.
     generation: AtomicU64,
@@ -864,7 +871,10 @@ impl AtomicPepStats {
                 revalidations: self.revalidations.load(Ordering::Relaxed),
                 revalidations_unchanged: self.revalidations_unchanged.load(Ordering::Relaxed),
             };
-            if self.generation.load(Ordering::Acquire) == before {
+            // Keeps the counter loads above from sinking below the
+            // re-check.
+            fence(Ordering::Acquire);
+            if self.generation.load(Ordering::Relaxed) == before {
                 return stats;
             }
             // A reset landed between our two generation reads; retry.
@@ -873,7 +883,8 @@ impl AtomicPepStats {
 
     fn reset(&self) {
         // Odd generation: snapshots in flight will discard and retry.
-        self.generation.fetch_add(1, Ordering::AcqRel);
+        self.generation.fetch_add(1, Ordering::Relaxed);
+        fence(Ordering::Release);
         self.am_queries.store(0, Ordering::Relaxed);
         self.cache_hits.store(0, Ordering::Relaxed);
         self.redirects.store(0, Ordering::Relaxed);
@@ -3874,40 +3885,42 @@ mod tests {
 
     #[test]
     fn stats_snapshot_never_observes_a_half_reset() {
-        // Regression for the snapshot/reset tear: reset() used to zero
-        // each counter independently, so a concurrent stats() could see
-        // am_queries already zeroed while cache_hits still held its old
-        // value. The writer below always bumps the two counters in
-        // lock-step, so any coherent snapshot (reset or not) satisfies
-        // |am_queries − cache_hits| ≤ 1; a torn one shows a gap.
+        // Regression for the snapshot/reset tear: reset() zeroes each
+        // counter independently, so without the seqlock a concurrent
+        // stats() could load am_queries (the first counter it reads)
+        // before a reset and the sieve hits (the last) after it. The
+        // reading thread bumps both counters itself before every
+        // snapshot, so no increment races its loads; a reset landing
+        // between its two bumps leaves them at most 1 apart, while a
+        // torn snapshot shows every bump since the previous reset.
         let h = Arc::new(HostCore::new("h.example", SimClock::new()));
         let stop = Arc::new(AtomicBool::new(false));
-        let writer = {
+        let resetter = {
             let h = Arc::clone(&h);
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
-                let mut i: u64 = 0;
                 while !stop.load(Ordering::Relaxed) {
-                    h.stats.am_queries.fetch_add(1, Ordering::Relaxed);
-                    h.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    i += 1;
-                    if i.is_multiple_of(64) {
-                        h.reset_stats();
+                    h.reset_stats();
+                    // Let the reader count up between resets.
+                    for _ in 0..1000 {
+                        std::hint::spin_loop();
                     }
                 }
             })
         };
         for _ in 0..200_000 {
+            h.stats.am_queries.fetch_add(1, Ordering::Relaxed);
+            h.stats.bump_sieve_hit();
             let snap = h.stats();
             assert!(
-                snap.am_queries.abs_diff(snap.cache_hits) <= 1,
-                "torn snapshot: am_queries={} cache_hits={}",
+                snap.am_queries.abs_diff(snap.sieve_hits) <= 1,
+                "torn snapshot: am_queries={} sieve_hits={}",
                 snap.am_queries,
-                snap.cache_hits
+                snap.sieve_hits
             );
         }
         stop.store(true, Ordering::Relaxed);
-        writer.join().unwrap();
+        resetter.join().unwrap();
     }
 
     #[test]

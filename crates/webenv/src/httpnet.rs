@@ -7,14 +7,13 @@
 //! (DESIGN.md §15):
 //!
 //! * **Server**: every registered authority gets its own `127.0.0.1:0`
-//!   listener served by a *fixed worker pool* (sized to the machine,
-//!   clamped to at most 4 workers) rather than a thread per connection.
-//!   Each worker owns the connections it accepted and sweeps them with
-//!   non-blocking reads: all complete requests already buffered on a
-//!   connection are served back-to-back in one sweep, so a pipelining
-//!   client costs one scheduling quantum for N requests instead of N
-//!   wake-ups. Idle workers spin down from `yield_now` to capped sleeps,
-//!   staying hot under load without burning an idle core.
+//!   listener with one blocking accept thread, and every accepted
+//!   connection gets one blocking thread of its own. The connection
+//!   thread reads, serves every complete request already in its buffer
+//!   back-to-back, and sends all of their responses in one write, so a
+//!   pipelining client is woken once per batch instead of once per
+//!   response. An idle connection's thread waits in the kernel on its
+//!   `read`, so the next request wakes exactly the thread that serves it.
 //! * **Client**: one persistent connection per `(thread, transport,
 //!   authority)`, found by a linear scan of a thread-local vector (no
 //!   locks, no hashing, no allocation on the warm path), with the read
@@ -42,8 +41,9 @@
 //!
 //! The server side fails closed: a connection that sends an oversized,
 //! malformed, or unparseable message is dropped on the floor, which the
-//! client observes (and classifies) as a reset. A worker never panics
-//! and never parks itself on a poisoned connection.
+//! client observes (and classifies) as a reset. A connection thread
+//! never panics, and a peer that goes quiet mid-message or stops
+//! reading is dropped after five seconds.
 //!
 //! [`kill_listener`](HttpTransport::kill_listener) and
 //! [`set_stall`](HttpTransport::set_stall) exist so tests can produce
@@ -85,8 +85,8 @@ pub use crate::codec::MAX_MESSAGE_BYTES;
 /// How long the client waits for a TCP connect to complete.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
 
-/// Deep-idle poll interval: the longest a worker sleeps between sweeps,
-/// and the cadence of the stall-hold loop.
+/// Cadence of the stall-hold loop, and the accept thread's back-off
+/// after a failed `accept`.
 const POLL_INTERVAL: Duration = Duration::from_millis(10);
 
 /// Server-side patience for the *rest* of a message once its first byte
@@ -98,15 +98,6 @@ const SERVER_READ_TIMEOUT: Duration = Duration::from_secs(5);
 /// connections are persistent and bounded by `threads x authorities`,
 /// so this is a misbehaving-peer backstop, not a tuning knob.
 const MAX_CONNS_PER_LISTENER: usize = 256;
-
-/// Under load a worker only polls for new connections every this many
-/// sweeps; an idle worker polls every sweep.
-const ACCEPT_EVERY: u64 = 16;
-
-/// How many empty sweeps a worker spends yielding (staying runnable, so
-/// the next request is picked up within a scheduler quantum) before it
-/// starts sleeping.
-const IDLE_YIELD_SWEEPS: u32 = 64;
 
 /// Read granularity for both halves; large enough that every protocol
 /// message (epoch sieve pushes aside) arrives in one read.
@@ -123,17 +114,6 @@ const STAT_SHARDS: usize = 16;
 static NEXT_HTTP_ID: AtomicU64 = AtomicU64::new(1);
 /// Round-robin source of per-thread stat-shard slots.
 static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
-
-/// A fixed pool bounds server threads regardless of connection count:
-/// one worker per available core, at most four per authority. On a
-/// single-core host this degenerates to one worker, which is also the
-/// best batching configuration there (every ready connection is served
-/// back-to-back in one quantum).
-fn pool_size() -> usize {
-    std::thread::available_parallelism()
-        .map_or(1, std::num::NonZeroUsize::get)
-        .clamp(1, 4)
-}
 
 // ---------------------------------------------------------------------------
 // Client state (thread-local; no locks on the warm path)
@@ -234,53 +214,79 @@ impl StatShard {
 // Routes and shutdown
 // ---------------------------------------------------------------------------
 
-/// One registered authority: its listener address, its worker pool, and
-/// the fault-injection flags the conformance tests flip.
+/// One registered authority, shared by the routes table, its accept
+/// thread and its connection threads.
 struct Route {
     addr: SocketAddr,
-    /// When set, the workers exit (dropping the shared listener, so new
-    /// connects are refused) after resetting their connections.
-    dead: Arc<AtomicBool>,
-    /// When set, workers hold every response until the flag clears —
-    /// the client observes a read timeout.
-    stall: Arc<AtomicBool>,
-    /// Live accepted connections, tracked so a kill can reset them.
-    conns: Arc<Mutex<Vec<TcpStream>>>,
-    workers: Vec<JoinHandle<()>>,
+    app: Arc<dyn WebApp>,
+    inner: Weak<HttpInner>,
+    /// When set, the accept thread exits (dropping the listener, so new
+    /// connects are refused) and a stalled response is never sent.
+    dead: AtomicBool,
+    /// When set, connection threads hold every response until the flag
+    /// clears — the client observes a read timeout.
+    stall: AtomicBool,
+    /// The kill list: live accepted connections by id. Each connection
+    /// thread removes its own entry when it closes.
+    conns: Mutex<HashMap<u64, LiveConn>>,
+    /// Taken by the first shutdown.
+    acceptor: Mutex<Option<JoinHandle<()>>>,
 }
 
-/// The pieces of a [`Route`] needed to tear it down, extracted under
-/// the routes lock and completed *after* it is released. Workers take
-/// the routes lock themselves while serving nested dispatches, so
-/// joining them while holding it would deadlock.
-struct RouteShutdown {
-    dead: Arc<AtomicBool>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
-    workers: Vec<JoinHandle<()>>,
+/// A kill-list entry: a handle to reset the connection, and its thread.
+struct LiveConn {
+    stream: TcpStream,
+    thread: JoinHandle<()>,
 }
 
-fn extract_shutdown(route: &mut Route) -> RouteShutdown {
-    RouteShutdown {
-        dead: Arc::clone(&route.dead),
-        conns: Arc::clone(&route.conns),
-        workers: std::mem::take(&mut route.workers),
+impl Route {
+    fn closed(&self) -> bool {
+        self.dead.load(Ordering::Acquire) || self.inner.strong_count() == 0
     }
-}
 
-/// Signals the route's workers to exit, resets its live connections and
-/// joins the workers. Must be called with the routes lock released.
-fn complete_shutdown(shutdown: RouteShutdown) {
-    shutdown.dead.store(true, Ordering::Release);
-    for conn in shutdown.conns.lock().drain(..) {
-        let _ = conn.shutdown(Shutdown::Both);
+    /// Runs the handler for one request, holding the response while the
+    /// listener is stalled. `None` once the listener is dead or the
+    /// transport is gone.
+    fn serve(&self, req: &Request) -> Option<Response> {
+        while self.stall.load(Ordering::Acquire) {
+            if self.closed() {
+                return None;
+            }
+            std::thread::sleep(POLL_INTERVAL);
+        }
+        let transport = HttpTransport {
+            inner: self.inner.upgrade()?,
+        };
+        Some(self.app.handle(&transport, req))
     }
-    let me = std::thread::current().id();
-    for worker in shutdown.workers {
-        // A worker can itself drop the last transport handle (its nested
-        // dispatch clone), running this teardown on a worker thread; it
-        // must not join itself — it exits on its own right after.
-        if worker.thread().id() != me {
-            let _ = worker.join();
+
+    /// Marks the route dead, resets its live connections and joins its
+    /// threads: once this returns, new connects are refused and none of
+    /// the route's handlers is still running. Must be called with the
+    /// routes lock released — a handler may need it to finish a nested
+    /// dispatch.
+    fn shutdown(&self) {
+        self.dead.store(true, Ordering::Release);
+        let live: Vec<LiveConn> = self.conns.lock().drain().map(|(_, conn)| conn).collect();
+        for conn in &live {
+            let _ = conn.stream.shutdown(Shutdown::Both);
+        }
+        let acceptor = self.acceptor.lock().take();
+        if let Some(acceptor) = acceptor {
+            // The accept thread is blocked in `accept`; one throwaway
+            // connect wakes it to see the flag.
+            if TcpStream::connect_timeout(&self.addr, CONNECT_TIMEOUT).is_ok() {
+                let _ = acceptor.join();
+            }
+        }
+        let me = std::thread::current().id();
+        for LiveConn { thread, .. } in live {
+            // A connection thread can itself drop the last transport
+            // handle (its nested dispatch clone), running this teardown;
+            // it must not join itself — it exits on its own right after.
+            if thread.thread().id() != me {
+                let _ = thread.join();
+            }
         }
     }
 }
@@ -289,7 +295,7 @@ struct HttpInner {
     id: u64,
     clock: SimClock,
     trace: TraceRecorder,
-    routes: Mutex<HashMap<String, Route>>,
+    routes: Mutex<HashMap<String, Arc<Route>>>,
     shards: [StatShard; STAT_SHARDS],
     /// How long the client waits for a response before classifying the
     /// authority as hung ([`TransportError::Timeout`]).
@@ -298,9 +304,8 @@ struct HttpInner {
 
 impl Drop for HttpInner {
     fn drop(&mut self) {
-        let routes = std::mem::take(self.routes.get_mut());
-        for (_, mut route) in routes {
-            complete_shutdown(extract_shutdown(&mut route));
+        for route in std::mem::take(self.routes.get_mut()).into_values() {
+            route.shutdown();
         }
     }
 }
@@ -308,7 +313,7 @@ impl Drop for HttpInner {
 /// The loopback-TCP transport. See the [module documentation](self).
 ///
 /// Cloning is cheap and shares the listeners, clock, trace and stats —
-/// worker threads clone it to serve nested dispatches.
+/// connection threads clone it to serve nested dispatches.
 #[derive(Clone)]
 pub struct HttpTransport {
     inner: Arc<HttpInner>,
@@ -366,21 +371,18 @@ impl HttpTransport {
     }
 
     /// Kills `authority`'s listener *without* unregistering it: the
-    /// worker pool exits (so new connections are refused by the kernel)
-    /// and every live connection is reset. Subsequent dispatches fail
+    /// accept thread exits (so new connections are refused by the
+    /// kernel) and every live connection is reset. Subsequent dispatches fail
     /// with [`TransportError::Unreachable`] — the real-socket
     /// equivalent of [`SimNet::set_offline`](crate::net::SimNet::set_offline).
     pub fn kill_listener(&self, authority: &str) {
-        let pending = {
-            let mut routes = self.inner.routes.lock();
-            routes.get_mut(authority).map(extract_shutdown)
-        };
-        if let Some(shutdown) = pending {
-            complete_shutdown(shutdown);
+        let route = self.inner.routes.lock().get(authority).cloned();
+        if let Some(route) = route {
+            route.shutdown();
         }
     }
 
-    /// Makes `authority`'s workers hold (`true`) or release (`false`)
+    /// Makes `authority`'s connection threads hold (`true`) or release (`false`)
     /// their responses. While stalled, dispatches burn the full client
     /// timeout and fail with [`TransportError::Timeout`] — the
     /// real-socket equivalent of a lost message.
@@ -577,52 +579,30 @@ impl Transport for HttpTransport {
     fn register(&self, app: Arc<dyn WebApp>) {
         let authority = app.authority().to_owned();
         let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind loopback listener");
-        listener
-            .set_nonblocking(true)
-            .expect("nonblocking listener");
-        let addr = listener.local_addr().expect("listener address");
-        let listener = Arc::new(listener);
-
-        let dead = Arc::new(AtomicBool::new(false));
-        let stall = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
-
-        let workers = (0..pool_size())
-            .map(|_| {
-                let ctx = WorkerCtx {
-                    listener: Arc::clone(&listener),
-                    app: Arc::clone(&app),
-                    inner: Arc::downgrade(&self.inner),
-                    dead: Arc::clone(&dead),
-                    stall: Arc::clone(&stall),
-                    conns: Arc::clone(&conns),
-                };
-                std::thread::spawn(move || worker_loop(&ctx))
-            })
-            .collect();
-
-        let old = {
-            let mut routes = self.inner.routes.lock();
-            routes.insert(
-                authority,
-                Route {
-                    addr,
-                    dead,
-                    stall,
-                    conns,
-                    workers,
-                },
-            )
+        let route = Arc::new(Route {
+            addr: listener.local_addr().expect("listener address"),
+            app,
+            inner: Arc::downgrade(&self.inner),
+            dead: AtomicBool::new(false),
+            stall: AtomicBool::new(false),
+            conns: Mutex::new(HashMap::new()),
+            acceptor: Mutex::new(None),
+        });
+        let acceptor = {
+            let route = Arc::clone(&route);
+            std::thread::spawn(move || accept_loop(&listener, &route))
         };
-        if let Some(mut old) = old {
-            complete_shutdown(extract_shutdown(&mut old));
+        *route.acceptor.lock() = Some(acceptor);
+        let old = self.inner.routes.lock().insert(authority, route);
+        if let Some(old) = old {
+            old.shutdown();
         }
     }
 
     fn unregister(&self, authority: &str) {
         let removed = self.inner.routes.lock().remove(authority);
-        if let Some(mut route) = removed {
-            complete_shutdown(extract_shutdown(&mut route));
+        if let Some(route) = removed {
+            route.shutdown();
         }
     }
 
@@ -889,268 +869,135 @@ fn fill_group_failures(
 // Server
 // ---------------------------------------------------------------------------
 
-/// Everything one worker needs, bundled for the spawn.
-struct WorkerCtx {
-    listener: Arc<TcpListener>,
-    app: Arc<dyn WebApp>,
-    inner: Weak<HttpInner>,
-    dead: Arc<AtomicBool>,
-    stall: Arc<AtomicBool>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
+/// The accept thread: puts each connection on the kill list, bounded by
+/// [`MAX_CONNS_PER_LISTENER`], and gives it a blocking thread of its
+/// own. Exits once the listener is dead (a shutdown wakes the blocked
+/// `accept` with a throwaway connect), dropping the listener.
+fn accept_loop(listener: &TcpListener, route: &Arc<Route>) {
+    let mut next_id = 0u64;
+    for stream in listener.incoming() {
+        if route.closed() {
+            return;
+        }
+        let Ok(stream) = stream else {
+            // Out of descriptors or similar: back off instead of spinning.
+            std::thread::sleep(POLL_INTERVAL);
+            continue;
+        };
+        let _ = stream.set_nodelay(true);
+        let id = next_id;
+        next_id += 1;
+        // Admission runs under the kill-list lock. A shutdown sets `dead`
+        // before draining the list, so every admitted connection is one
+        // the shutdown resets and joins; and the new thread's own removal
+        // waits for the lock, so its entry is always in place first.
+        let mut live = route.conns.lock();
+        if route.dead.load(Ordering::Acquire) || live.len() >= MAX_CONNS_PER_LISTENER {
+            continue;
+        }
+        let Ok(clone) = stream.try_clone() else {
+            continue;
+        };
+        let conn_route = Arc::clone(route);
+        let spawned = std::thread::Builder::new().spawn(move || {
+            serve_conn(&conn_route, stream);
+            conn_route.conns.lock().remove(&id);
+        });
+        if let Ok(thread) = spawned {
+            live.insert(
+                id,
+                LiveConn {
+                    stream: clone,
+                    thread,
+                },
+            );
+        }
+    }
 }
 
-/// One accepted connection as a worker tracks it between sweeps.
-struct ServedConn {
-    stream: TcpStream,
-    /// Request reassembly buffer; complete messages are drained off the
-    /// front as they are served.
-    buf: Vec<u8>,
-    /// Where head scanning resumes (incremental `find_head_end`).
-    scan_from: usize,
-    /// When a partial message must complete by; `None` while the buffer
-    /// is empty (an idle keep-alive connection can sit forever).
-    deadline: Option<Instant>,
-}
-
-/// Per-worker reusable buffers.
-struct WorkerScratch {
-    /// Encoded head of the response currently being serialized.
-    head: Vec<u8>,
-    /// Coalesced response bytes for one sweep: every response the sweep
-    /// produces is appended here and flushed in a single write, so a
-    /// pipelining client is woken once per stride instead of once per
-    /// response. On a loaded single core each server write can preempt
-    /// the blocked client into a read that immediately blocks again —
-    /// one write per sweep turns that N-switch ping-pong into one
-    /// wake-up.
-    out: Vec<u8>,
-    chunk: Box<[u8]>,
-}
-
-enum Sweep {
-    /// Bytes moved or requests served this sweep.
-    Progress,
-    /// Nothing to do on this connection right now.
-    Idle,
-    /// Hang-up, framing violation, oversize, write failure or deadline:
-    /// the connection is dropped (fail closed — the client classifies
-    /// the reset).
-    Closed,
-}
-
-/// The worker: accepts connections from the shared listener and sweeps
-/// the ones it owns with non-blocking reads, serving every complete
-/// request already buffered back-to-back. Busy workers stay runnable by
-/// yielding; idle workers escalate to capped sleeps.
-fn worker_loop(ctx: &WorkerCtx) {
-    let mut conns: Vec<ServedConn> = Vec::new();
-    let mut scratch = WorkerScratch {
-        head: Vec::new(),
-        out: Vec::new(),
-        chunk: vec![0u8; READ_CHUNK].into_boxed_slice(),
-    };
-    let mut sweep: u64 = 0;
-    let mut idle_sweeps: u32 = 0;
-
+/// One connection's thread: block on a read, serve every complete
+/// request the buffer then holds back-to-back, and send all of their
+/// responses in one write. One write per read is what keeps a
+/// pipelining client from being woken — and preempted back into a read
+/// that immediately blocks again — once per response.
+///
+/// Returning closes the connection (fail closed: the client classifies
+/// the reset) on hang-up, kill, framing violation, oversize, a failed
+/// write, or a partial message that stalls past [`SERVER_READ_TIMEOUT`].
+fn serve_conn(route: &Route, mut stream: TcpStream) {
+    if stream.set_write_timeout(Some(SERVER_READ_TIMEOUT)).is_err() {
+        return;
+    }
+    let mut buf = Vec::new();
+    let mut out = Vec::new();
+    let mut head = Vec::new();
+    let mut chunk = vec![0u8; READ_CHUNK];
+    // Where head scanning resumes (incremental `find_head_end`).
+    let mut scan_from = 0;
+    let mut patient = false;
     loop {
-        if ctx.dead.load(Ordering::Acquire) || ctx.inner.strong_count() == 0 {
-            for conn in conns.drain(..) {
-                let _ = conn.stream.shutdown(Shutdown::Both);
+        // Partial-message patience: the read timeout is set only while
+        // half a message is buffered, so an idle keep-alive connection
+        // can block forever while a stalled sender is dropped.
+        let partial = !buf.is_empty();
+        if partial != patient {
+            if stream
+                .set_read_timeout(partial.then_some(SERVER_READ_TIMEOUT))
+                .is_err()
+            {
+                return;
             }
+            patient = partial;
+        }
+        match stream.read(&mut chunk) {
+            Ok(0) => return,
+            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Err(ref err) if err.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) => return,
+        }
+        if buf.len() > MAX_MESSAGE_BYTES {
             return;
         }
 
-        let mut progressed = false;
-
-        // Poll for new connections: every sweep while anything is idle,
-        // every ACCEPT_EVERY-th sweep under full load.
-        if idle_sweeps > 0 || conns.is_empty() || sweep.is_multiple_of(ACCEPT_EVERY) {
-            while let Ok((stream, _peer)) = ctx.listener.accept() {
-                if accept_conn(ctx, &mut conns, stream) {
-                    progressed = true;
-                }
-            }
-        }
-        sweep = sweep.wrapping_add(1);
-
-        let mut i = 0;
-        while i < conns.len() {
-            match sweep_conn(ctx, &mut conns[i], &mut scratch) {
-                Sweep::Progress => {
-                    progressed = true;
-                    i += 1;
-                }
-                Sweep::Idle => i += 1,
-                Sweep::Closed => {
-                    let conn = conns.swap_remove(i);
-                    let _ = conn.stream.shutdown(Shutdown::Both);
-                }
-            }
-        }
-
-        if progressed {
-            idle_sweeps = 0;
-        } else {
-            idle_sweeps = idle_sweeps.saturating_add(1);
-            if idle_sweeps <= IDLE_YIELD_SWEEPS {
-                std::thread::yield_now();
-            } else {
-                // Escalate 100µs → POLL_INTERVAL, doubling per sweep.
-                let over = idle_sweeps - IDLE_YIELD_SWEEPS;
-                let us = 100u64 << over.min(7);
-                std::thread::sleep(Duration::from_micros(
-                    us.min(u64::try_from(POLL_INTERVAL.as_micros()).unwrap_or(u64::MAX)),
-                ));
-            }
-        }
-    }
-}
-
-/// Admits one accepted connection: non-blocking + NODELAY, tracked on
-/// the route's kill list, bounded by [`MAX_CONNS_PER_LISTENER`].
-fn accept_conn(ctx: &WorkerCtx, conns: &mut Vec<ServedConn>, stream: TcpStream) -> bool {
-    let _ = stream.set_nodelay(true);
-    if stream.set_nonblocking(true).is_err() {
-        return false;
-    }
-    {
-        let mut live = ctx.conns.lock();
-        if live.len() >= MAX_CONNS_PER_LISTENER {
-            let _ = stream.shutdown(Shutdown::Both);
-            return false;
-        }
-        if let Ok(clone) = stream.try_clone() {
-            live.push(clone);
-        }
-    }
-    conns.push(ServedConn {
-        stream,
-        buf: Vec::new(),
-        scan_from: 0,
-        deadline: None,
-    });
-    true
-}
-
-/// One sweep over one connection: drain readable bytes, then serve every
-/// complete request sitting in the buffer (a pipelining client's whole
-/// group is answered in this one pass).
-fn sweep_conn(ctx: &WorkerCtx, conn: &mut ServedConn, scratch: &mut WorkerScratch) -> Sweep {
-    let mut read_any = false;
-    loop {
-        match conn.stream.read(&mut scratch.chunk) {
-            Ok(0) => return Sweep::Closed,
-            Ok(n) => {
-                conn.buf.extend_from_slice(&scratch.chunk[..n]);
-                read_any = true;
-                if conn.buf.len() > MAX_MESSAGE_BYTES {
-                    return Sweep::Closed;
-                }
-                if n < scratch.chunk.len() {
-                    break;
-                }
-            }
-            Err(ref err) if err.kind() == io::ErrorKind::WouldBlock => break,
-            Err(ref err) if err.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return Sweep::Closed,
-        }
-    }
-
-    let mut served = false;
-    scratch.out.clear();
-    loop {
-        let Some(head_end) = codec::find_head_end(&conn.buf, conn.scan_from) else {
-            conn.scan_from = conn.buf.len().saturating_sub(3);
-            break;
-        };
-        let (from_label, req, body_len) = {
-            let Ok(head) = codec::parse_head(&conn.buf[..head_end]) else {
-                return Sweep::Closed;
+        out.clear();
+        let mut consumed = 0;
+        loop {
+            let pending = &buf[consumed..];
+            let Some(head_end) = codec::find_head_end(pending, scan_from) else {
+                scan_from = pending.len().saturating_sub(3);
+                break;
             };
-            let Ok(body_len) = head.content_length() else {
-                return Sweep::Closed;
+            let Ok(parsed) = codec::parse_head(&pending[..head_end]) else {
+                return;
             };
-            if conn.buf.len() < head_end + body_len {
-                // Head complete, body still in flight: scanning may
-                // resume from where it stands (the head is re-found in
-                // one cheap pass once the body lands).
+            let Ok(body_len) = parsed.content_length() else {
+                return;
+            };
+            if pending.len() < head_end + body_len {
+                // Head complete, body still in flight: the head is
+                // re-found in one cheap pass once the body lands.
                 break;
             }
-            match codec::build_request(&head, &conn.buf[head_end..head_end + body_len]) {
-                Ok((from, req)) => (from, req, body_len),
-                Err(_) => return Sweep::Closed,
-            }
-        };
-        let _ = from_label; // the envelope label; handlers don't see it
-        conn.buf.drain(..head_end + body_len);
-        conn.scan_from = 0;
-        served = true;
-
-        // Hold the response while stalled (hung-server fault injection).
-        while ctx.stall.load(Ordering::Acquire) {
-            if ctx.dead.load(Ordering::Acquire) || ctx.inner.strong_count() == 0 {
-                return Sweep::Closed;
-            }
-            std::thread::sleep(POLL_INTERVAL);
+            // The envelope's dispatcher label is not shown to handlers.
+            let Ok((_from, req)) =
+                codec::build_request(&parsed, &pending[head_end..head_end + body_len])
+            else {
+                return;
+            };
+            consumed += head_end + body_len;
+            scan_from = 0;
+            let Some(resp) = route.serve(&req) else {
+                return;
+            };
+            codec::encode_response_head_into(&mut head, &resp);
+            out.extend_from_slice(&head);
+            out.extend_from_slice(resp.body.as_bytes());
         }
-        let Some(strong) = ctx.inner.upgrade() else {
-            return Sweep::Closed;
-        };
-        let transport = HttpTransport { inner: strong };
-        let resp = ctx.app.handle(&transport, &req);
-        drop(transport);
-        codec::encode_response_head_into(&mut scratch.head, &resp);
-        scratch.out.extend_from_slice(&scratch.head);
-        scratch.out.extend_from_slice(resp.body.as_bytes());
-    }
-    if !scratch.out.is_empty() && write_coalesced(ctx, &mut conn.stream, &scratch.out).is_err() {
-        return Sweep::Closed;
-    }
-
-    // Partial-message patience: a connection with half a message gets
-    // SERVER_READ_TIMEOUT from its last byte, then is dropped.
-    if conn.buf.is_empty() {
-        conn.deadline = None;
-    } else if read_any || conn.deadline.is_none() {
-        conn.deadline = Some(Instant::now() + SERVER_READ_TIMEOUT);
-    } else if conn
-        .deadline
-        .is_some_and(|deadline| Instant::now() > deadline)
-    {
-        return Sweep::Closed;
-    }
-
-    if read_any || served {
-        Sweep::Progress
-    } else {
-        Sweep::Idle
-    }
-}
-
-/// Flushes one sweep's coalesced response bytes in a single write,
-/// riding out `WouldBlock` on the non-blocking socket (bounded by
-/// [`SERVER_READ_TIMEOUT`]).
-fn write_coalesced(ctx: &WorkerCtx, stream: &mut TcpStream, out: &[u8]) -> io::Result<()> {
-    let mut off = 0;
-    let deadline = Instant::now() + SERVER_READ_TIMEOUT;
-    while off < out.len() {
-        match stream.write(&out[off..]) {
-            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-            Ok(n) => off += n,
-            Err(ref err) if err.kind() == io::ErrorKind::WouldBlock => {
-                if ctx.dead.load(Ordering::Acquire)
-                    || ctx.inner.strong_count() == 0
-                    || Instant::now() > deadline
-                {
-                    return Err(io::ErrorKind::TimedOut.into());
-                }
-                std::thread::yield_now();
-            }
-            Err(ref err) if err.kind() == io::ErrorKind::Interrupted => {}
-            Err(err) => return Err(err),
+        buf.drain(..consumed);
+        if !out.is_empty() && stream.write_all(&out).is_err() {
+            return;
         }
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1462,6 +1309,91 @@ mod tests {
         // wire bytes (same rule as SimNet).
         assert_eq!(t.stats().round_trips, 3);
         assert_eq!(t.stats().edge("tester", "ghost.example"), 2);
+    }
+
+    #[test]
+    fn listener_outlives_more_connections_than_its_live_cap() {
+        // Each thread's persistent connection closes when the thread
+        // exits; the closed connection must leave the kill list, or the
+        // cap would refuse every connection past the 256th.
+        let t = echo_transport();
+        for i in 0..MAX_CONNS_PER_LISTENER + 44 {
+            let t = t.clone();
+            let status = std::thread::spawn(move || {
+                t.dispatch(
+                    "tester",
+                    Request::new(Method::Get, "https://echo.example/n"),
+                )
+                .status
+            })
+            .join()
+            .unwrap();
+            assert_eq!(status, Status::Ok, "connection #{i}");
+        }
+    }
+
+    /// Parks every `/block` request until released; answers anything
+    /// else at once.
+    #[derive(Default)]
+    struct Gate {
+        entered: AtomicUsize,
+        release: AtomicBool,
+    }
+
+    impl WebApp for Gate {
+        fn authority(&self) -> &str {
+            "gate.example"
+        }
+        fn handle(&self, _net: &dyn Transport, req: &Request) -> Response {
+            if req.url.path() == "/block" {
+                self.entered.fetch_add(1, Ordering::SeqCst);
+                while !self.release.load(Ordering::SeqCst) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+            Response::ok().with_body(req.url.path().to_owned())
+        }
+    }
+
+    #[test]
+    fn blocked_handler_does_not_delay_another_connection() {
+        // More parked handlers than a four-worker pool could serve.
+        const PARKED: usize = 5;
+        let t = HttpTransport::new();
+        // Patient enough that the parked requests outlast a loaded box.
+        t.set_client_timeout_ms(10_000);
+        let gate = Arc::new(Gate::default());
+        t.register(Arc::clone(&gate) as Arc<dyn WebApp>);
+
+        let parked: Vec<_> = (0..PARKED)
+            .map(|_| {
+                let t = t.clone();
+                std::thread::spawn(move || {
+                    t.dispatch(
+                        "tester",
+                        Request::new(Method::Get, "https://gate.example/block"),
+                    )
+                })
+            })
+            .collect();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while gate.entered.load(Ordering::SeqCst) < PARKED && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        let resp = t.dispatch(
+            "tester",
+            Request::new(Method::Get, "https://gate.example/fast"),
+        );
+        gate.release.store(true, Ordering::SeqCst);
+        assert_eq!(resp.status, Status::Ok, "{}", resp.body);
+        assert_eq!(resp.body, "/fast");
+        assert_eq!(gate.entered.load(Ordering::SeqCst), PARKED);
+        for handle in parked {
+            let resp = handle.join().unwrap();
+            assert_eq!(resp.status, Status::Ok);
+            assert_eq!(resp.body, "/block");
+        }
     }
 
     #[test]

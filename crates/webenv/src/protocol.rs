@@ -1533,13 +1533,19 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, WireError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Advance over one UTF-8 scalar (input is &str, so the
-                // byte stream is valid UTF-8 by construction).
-                let s = core::str::from_utf8(&bytes[*pos..])
+                // Copy the whole run up to the next quote or backslash in
+                // one go. Both are ASCII, so they never fall inside a
+                // multi-byte scalar and the run is itself valid UTF-8
+                // (the input is &str by construction).
+                let run = &bytes[*pos..];
+                let len = run
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .unwrap_or(run.len());
+                let text = core::str::from_utf8(&run[..len])
                     .map_err(|_| WireError::new("invalid UTF-8"))?;
-                let c = s.chars().next().ok_or_else(|| WireError::new("empty"))?;
-                out.push(c);
-                *pos += c.len_utf8();
+                out.push_str(text);
+                *pos += len;
             }
         }
     }
@@ -1626,6 +1632,22 @@ mod tests {
         let parsed = DecisionBody::from_json(&json).unwrap();
         assert_eq!(parsed, body);
         assert!(!parsed.is_permit());
+    }
+
+    #[test]
+    fn megabyte_string_parses_in_linear_time() {
+        // Long unescaped runs, multi-byte scalars and escapes, ~1 MiB in
+        // all. A parser that re-validates the rest of the input for
+        // every character takes well over 2 s here.
+        let unit = format!("{} \"é✓\"\n", "x".repeat(1000));
+        let body = DecisionBody::deny(&unit.repeat((1 << 20) / unit.len() + 1));
+        let json = body.to_json();
+        assert!(json.len() > 1 << 20);
+        let started = std::time::Instant::now();
+        let parsed = DecisionBody::from_json(&json).unwrap();
+        let took = started.elapsed();
+        assert_eq!(parsed, body);
+        assert!(took < std::time::Duration::from_secs(2), "took {took:?}");
     }
 
     #[test]
