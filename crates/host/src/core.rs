@@ -318,6 +318,20 @@ struct CachedDecision {
     referenced: AtomicBool,
 }
 
+impl CachedDecision {
+    /// The first instant (ms) at which the entry is dead by age: past its
+    /// TTL and past the degraded-mode `grace` window after it.
+    fn death_ms(&self, grace: u64) -> u64 {
+        self.expires_at_ms.saturating_add(grace)
+    }
+
+    /// Whether the entry survives a sweep at `now` under the owners'
+    /// epoch `floors` and the `grace` window.
+    fn is_live(&self, floors: &HashMap<String, u64>, grace: u64, now: u64) -> bool {
+        self.death_ms(grace) > now && self.epoch >= floors.get(&self.owner).copied().unwrap_or(0)
+    }
+}
+
 /// The bounded decision cache. Eviction is second-chance (clock) over
 /// insertion order — deterministic for a deterministic request sequence,
 /// unlike anything keyed on map iteration order.
@@ -337,6 +351,13 @@ struct DecisionCache {
     /// Epoch-stale entries are never grace-served: a policy change
     /// always fails closed regardless of this window.
     stale_grace_ms: u64,
+    /// No entry dies by age before this instant (ms): a lower bound on
+    /// every entry's [`CachedDecision::death_ms`], tightened on insert
+    /// and recomputed by each sweep.
+    next_death_ms: u64,
+    /// Set while an entry may sit below its owner's epoch floor: it was
+    /// inserted there, or an invalidation advanced the floor past it.
+    epoch_stale: bool,
 }
 
 impl DecisionCache {
@@ -348,7 +369,22 @@ impl DecisionCache {
             order: VecDeque::new(),
             owner_epochs: HashMap::new(),
             stale_grace_ms: 0,
+            next_death_ms: u64::MAX,
+            epoch_stale: false,
         }
+    }
+
+    /// The owner's policy-epoch floor: entries stamped below it are dead.
+    fn epoch_floor(&self, owner: &str) -> u64 {
+        self.owner_epochs.get(owner).copied().unwrap_or(0)
+    }
+
+    /// Entries that would survive a sweep at `now`.
+    fn live_len(&self, now: u64) -> usize {
+        self.entries
+            .values()
+            .filter(|e| e.is_live(&self.owner_epochs, self.stale_grace_ms, now))
+            .count()
     }
 
     /// Serves a hit iff enabled, unexpired, token-bound, and epoch-fresh.
@@ -398,11 +434,20 @@ impl DecisionCache {
     /// Inserts under the caller's write lock, re-checking `enabled` there
     /// (no decide-then-insert race), sweeping dead entries, and evicting
     /// down to capacity.
+    ///
+    /// Every insert first drops the dead entries, but the sweep only runs
+    /// when one can exist: an entry's death time has come, or an entry
+    /// may be epoch-stale. The rest of the time it would be a full pass
+    /// under the write lock that removes nothing.
     fn insert(&mut self, key: CacheKey, entry: CachedDecision, now: u64) {
         if !self.enabled || self.capacity == 0 {
             return;
         }
-        self.sweep_dead(now);
+        if self.epoch_stale || self.next_death_ms <= now {
+            self.sweep_dead(now);
+        }
+        self.next_death_ms = self.next_death_ms.min(entry.death_ms(self.stale_grace_ms));
+        self.epoch_stale |= entry.epoch < self.epoch_floor(&entry.owner);
         if !self.entries.contains_key(&key) {
             while self.entries.len() >= self.capacity {
                 self.evict_one();
@@ -419,16 +464,20 @@ impl DecisionCache {
         let entries = &mut self.entries;
         let owner_epochs = &self.owner_epochs;
         let grace = self.stale_grace_ms;
+        let mut next_death = u64::MAX;
         self.order.retain(|key| {
-            let live = entries.get(key).is_some_and(|e| {
-                e.expires_at_ms.saturating_add(grace) > now
-                    && e.epoch >= owner_epochs.get(&e.owner).copied().unwrap_or(0)
-            });
-            if !live {
+            let Some(e) = entries.get(key) else {
+                return false;
+            };
+            if !e.is_live(owner_epochs, grace, now) {
                 entries.remove(key);
+                return false;
             }
-            live
+            next_death = next_death.min(e.death_ms(grace));
+            true
         });
+        self.next_death_ms = next_death;
+        self.epoch_stale = false;
     }
 
     /// Second-chance eviction: recently referenced entries get one more
@@ -497,6 +546,7 @@ impl DecisionCache {
         }
         *known = epoch;
         let mut evicted = 0;
+        let mut left_stale = false;
         let entries = &mut self.entries;
         self.order.retain(|key| {
             let Some(entry) = entries.get_mut(key) else {
@@ -515,8 +565,10 @@ impl DecisionCache {
                 // new epoch.
                 entry.epoch = epoch;
             }
+            left_stale |= entry.epoch < epoch;
             true
         });
+        self.epoch_stale |= left_stale;
         evicted
     }
 
@@ -1210,10 +1262,13 @@ impl HostCore {
         }
     }
 
-    /// Number of currently cached decisions (test/observability hook).
+    /// Number of currently cached decisions that are still live: dead
+    /// ones awaiting the next sweep are not counted (test/observability
+    /// hook).
     #[must_use]
     pub fn decision_cache_len(&self) -> usize {
-        self.cache.read().entries.len()
+        let now = self.clock.now_ms();
+        self.cache.read().live_len(now)
     }
 
     /// Drops all cached decisions (e.g. after the user edited policies).
@@ -4300,5 +4355,95 @@ mod tests {
         assert_eq!(net.stats().edge("h.example", "am.example"), 0);
         assert_eq!(h.stats().sieve_hits, 2);
         assert_eq!(h.stats().batch_flushes, 0);
+    }
+
+    fn cache_key(i: usize) -> CacheKey {
+        (format!("req{i}"), format!("r{i}"), Action::Read)
+    }
+
+    /// A permit for `owner` at epoch 0 that expires at `expires_at_ms`.
+    fn cached(owner: &str, expires_at_ms: u64) -> CachedDecision {
+        CachedDecision {
+            expires_at_ms,
+            token_digest: [0; 32],
+            owner: owner.to_owned(),
+            am: "am.example".to_owned(),
+            epoch: 0,
+            fingerprint: [0; 16],
+            referenced: AtomicBool::new(false),
+        }
+    }
+
+    #[test]
+    fn full_cache_sweeps_expired_before_evicting_live() {
+        let mut cache = DecisionCache::new();
+        cache.capacity = 8;
+        // Even slots expire at 1 s, odd ones live for a minute.
+        for i in 0..8 {
+            let expires = if i % 2 == 0 { 1_000 } else { 60_000 };
+            cache.insert(cache_key(i), cached("bob", expires), 0);
+        }
+        assert_eq!(cache.entries.len(), 8);
+        cache.insert(cache_key(8), cached("bob", 60_000), 5_000);
+        for i in 0..8 {
+            assert_eq!(
+                cache.entries.contains_key(&cache_key(i)),
+                i % 2 == 1,
+                "slot {i}: expired entries go, live ones stay"
+            );
+        }
+        assert!(cache.entries.contains_key(&cache_key(8)));
+        assert_eq!(cache.order.len(), 5);
+        assert_eq!(cache.live_len(5_000), 5);
+    }
+
+    #[test]
+    fn first_insert_after_an_expiry_sweeps_it() {
+        let mut cache = DecisionCache::new();
+        cache.insert(cache_key(0), cached("bob", 1_000), 0);
+        cache.insert(cache_key(1), cached("bob", 60_000), 500);
+        // Expired but present: a conditional query could re-arm it.
+        assert_eq!(
+            cache.revalidation_epoch(&cache_key(0), &[0; 32], 2_000),
+            Some(0)
+        );
+        assert_eq!(cache.live_len(2_000), 1);
+        cache.insert(cache_key(2), cached("bob", 60_000), 2_000);
+        assert_eq!(
+            cache.revalidation_epoch(&cache_key(0), &[0; 32], 2_000),
+            None
+        );
+        assert_eq!(cache.entries.len(), 2);
+    }
+
+    #[test]
+    fn insert_sweeps_entries_left_below_the_epoch_floor() {
+        let mut cache = DecisionCache::new();
+        // Arrives already below bob's floor.
+        cache.note_epoch("bob", 3);
+        cache.insert(cache_key(0), cached("bob", 60_000), 0);
+        // Learned from a fallback AM: an invalidation signed by
+        // am.example advances the floor but cannot vouch for it.
+        cache.insert(
+            cache_key(1),
+            CachedDecision {
+                epoch: 3,
+                am: "fallback.example".to_owned(),
+                ..cached("bob", 60_000)
+            },
+            0,
+        );
+        cache.apply_invalidation("bob", "am.example", 4, &[], 0);
+        assert_eq!(cache.live_len(0), 0);
+        cache.insert(
+            cache_key(2),
+            CachedDecision {
+                epoch: 4,
+                ..cached("bob", 60_000)
+            },
+            1,
+        );
+        assert_eq!(cache.entries.len(), 1);
+        assert!(cache.entries.contains_key(&cache_key(2)));
     }
 }

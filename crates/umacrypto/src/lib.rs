@@ -7,15 +7,36 @@
 //! primitives the rest of the workspace uses to mint and verify such tokens:
 //!
 //! * [`sha256`] — a from-scratch SHA-256 implementation (FIPS 180-4),
-//! * [`hmac`] — HMAC-SHA256 (RFC 2104),
+//! * [`hmac`] — HMAC-SHA256 (RFC 2104), with [`HmacKey`] preparing a key's
+//!   pads once so each MAC skips their two compressions,
 //! * [`base64`] — padding-free URL-safe base64 (RFC 4648 §5),
 //! * [`ct_eq`] — constant-time byte comparison,
 //! * [`SigningKey`] / [`SignedBlob`] — a tiny "sign structured bytes, verify
-//!   later" facility used by the AM's token service,
+//!   later" facility used by the AM's token service, holding its secret as
+//!   a prepared [`HmacKey`],
 //! * [`random_bytes`] / [`random_token`] — nonce and key generation.
 //!
 //! No external cryptography crates are used; everything here is implemented
 //! from first principles so the workspace is self-contained.
+//!
+//! # Unsafe code and the SHA-256 backend
+//!
+//! The crate denies `unsafe` everywhere but one private module,
+//! `sha::sha_ni`. SHA-256's compression function runs under every token
+//! mint, token check and sieve fingerprint, and on x86_64 CPUs with the
+//! SHA extensions the hardware instructions are several times faster
+//! than the portable rounds. Those instructions are reachable only
+//! through a `#[target_feature]` function, and calling one is `unsafe`
+//! because running it on a CPU without the features is undefined
+//! behaviour. The module makes that single call right after
+//! `is_x86_feature_detected!` confirms the features; the function itself
+//! uses value-based intrinsics only.
+//!
+//! The backend is chosen at run time from the CPU's feature flags alone:
+//! no option, environment variable or Cargo feature selects it. Every
+//! other CPU, and every target but x86_64, runs the scalar compression
+//! function. [`sha::backend`] names the one in use; both give identical
+//! digests, and the crate's tests run their known answers through each.
 //!
 //! # Example
 //!
@@ -29,7 +50,7 @@
 //! assert_eq!(sha256(b"abc").len(), 32);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod base64;
@@ -38,7 +59,7 @@ pub mod sha;
 pub mod signing;
 
 pub use base64::{decode as base64url_decode, encode as base64url_encode};
-pub use hmac::hmac_sha256;
+pub use hmac::{hmac_sha256, HmacKey};
 pub use sha::sha256;
 pub use signing::{SignedBlob, SigningKey, VerifyError};
 

@@ -7,10 +7,13 @@
 //! opaque and unforgeable to every other party.
 
 use crate::base64;
-use crate::hmac::hmac_sha256;
+use crate::hmac::HmacKey;
 use crate::{ct_eq, random_bytes};
 
 /// A secret HMAC-SHA256 signing key held by a token issuer.
+///
+/// The secret is kept as a prepared [`HmacKey`], so signing and verifying
+/// never re-derive the HMAC pads.
 ///
 /// # Example
 ///
@@ -23,7 +26,7 @@ use crate::{ct_eq, random_bytes};
 /// ```
 #[derive(Clone)]
 pub struct SigningKey {
-    secret: Vec<u8>,
+    key: HmacKey,
 }
 
 impl std::fmt::Debug for SigningKey {
@@ -40,7 +43,7 @@ impl SigningKey {
     #[must_use]
     pub fn generate() -> Self {
         SigningKey {
-            secret: random_bytes(32),
+            key: HmacKey::new(&random_bytes(32)),
         }
     }
 
@@ -48,7 +51,7 @@ impl SigningKey {
     #[must_use]
     pub fn from_secret(secret: impl Into<Vec<u8>>) -> Self {
         SigningKey {
-            secret: secret.into(),
+            key: HmacKey::new(&secret.into()),
         }
     }
 
@@ -57,14 +60,14 @@ impl SigningKey {
     pub fn sign(&self, payload: &[u8]) -> SignedBlob {
         SignedBlob {
             payload: payload.to_vec(),
-            signature: hmac_sha256(&self.secret, payload).to_vec(),
+            signature: self.key.mac(payload).to_vec(),
         }
     }
 
     /// Verifies in constant time that `signature` is valid for `payload`.
     #[must_use]
     pub fn verify(&self, payload: &[u8], signature: &[u8]) -> bool {
-        ct_eq(&hmac_sha256(&self.secret, payload), signature)
+        ct_eq(&self.key.mac(payload), signature)
     }
 
     /// Signs `payload` and encodes the result as a compact token string
@@ -130,6 +133,7 @@ impl std::error::Error for VerifyError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sha::test_hooks::{compressions, on_each_backend};
     use proptest::prelude::*;
 
     #[test]
@@ -195,20 +199,57 @@ mod tests {
         assert!(dbg.contains("redacted"));
     }
 
+    /// A token sealed under a fixed key and payload, pinned byte for byte
+    /// on both backends: any drift in the MAC or its encoding would void
+    /// every token already issued.
+    #[test]
+    fn sealed_token_matches_golden() {
+        let key = SigningKey::from_secret(*b"0123456789abcdef0123456789abcdef");
+        let payload = b"kind=authz;res=albums/rome/photo-1;req=requester:alice;exp=900000";
+        on_each_backend(|| {
+            assert_eq!(
+                key.seal(payload),
+                "a2luZD1hdXRoejtyZXM9YWxidW1zL3JvbWUvcGhvdG8tMTtyZXE9cmVxdWVzdGVyOmFsaWNlO2V4cD05MDAwMDA\
+                 .0dUnUzld5fWb10VJqddiWPGrCpwMFcU1IUj3VvEXlaE"
+            );
+        });
+    }
+
+    /// Signing an m-byte payload costs ⌈(m+9)/64⌉ + 1 compressions: the
+    /// key's pads are never hashed again.
+    #[test]
+    fn sign_costs_message_blocks_plus_one() {
+        let key = SigningKey::from_secret(b"counting-key".to_vec());
+        for m in [0usize, 55, 56, 66, 119, 120, 256] {
+            let payload = vec![0x61u8; m];
+            let expected = (m as u64 + 9).div_ceil(64) + 1;
+            let before = compressions();
+            let blob = key.sign(&payload);
+            assert_eq!(compressions() - before, expected, "sign, m = {m}");
+            let before = compressions();
+            assert!(key.verify(&payload, &blob.signature));
+            assert_eq!(compressions() - before, expected, "verify, m = {m}");
+        }
+    }
+
     proptest! {
         #[test]
         fn seal_open_any_payload(payload in proptest::collection::vec(any::<u8>(), 0..256)) {
             let key = SigningKey::from_secret(b"fixed-test-key".to_vec());
-            let token = key.seal(&payload);
-            prop_assert_eq!(key.open(&token).unwrap(), payload);
+            on_each_backend(|| {
+                let token = key.seal(&payload);
+                prop_assert_eq!(key.open(&token).unwrap(), payload.clone());
+            });
         }
 
         #[test]
         fn cross_key_never_opens(payload in proptest::collection::vec(any::<u8>(), 1..128)) {
             let k1 = SigningKey::from_secret(b"key-one".to_vec());
             let k2 = SigningKey::from_secret(b"key-two".to_vec());
-            let token = k1.seal(&payload);
-            prop_assert_eq!(k2.open(&token), Err(VerifyError::BadSignature));
+            on_each_backend(|| {
+                let token = k1.seal(&payload);
+                prop_assert_eq!(k2.open(&token), Err(VerifyError::BadSignature));
+            });
         }
     }
 }
