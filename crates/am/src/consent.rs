@@ -28,6 +28,8 @@ use parking_lot::Mutex;
 
 use ucam_policy::{Action, ResourceRef};
 
+use crate::access_key::{AccessKey, AccessKeyRef, AsAccessKey};
+
 /// Delivery channel of a consent notification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Channel {
@@ -170,8 +172,6 @@ impl fmt::Display for ConsentError {
 
 impl std::error::Error for ConsentError {}
 
-/// The tuple the PDP asks about at decision time.
-type GrantKey = (String, Option<String>, ResourceRef, Action);
 /// The tuple `open` deduplicates on (adds the owner).
 type PendingKey = (String, String, Option<String>, ResourceRef, Action);
 
@@ -204,7 +204,7 @@ pub struct ConsentQueue {
     id_prefix: String,
     /// Granted (requester, subject, resource, action) tuples — the O(1)
     /// answer to [`ConsentQueue::is_granted`] regardless of queue depth.
-    granted: HashSet<GrantKey>,
+    granted: HashSet<AccessKey>,
     /// Pending request per dedupe tuple — the O(1) answer to "is an
     /// identical request already open?".
     pending_index: HashMap<PendingKey, String>,
@@ -316,8 +316,10 @@ impl ConsentQueue {
         request.state = state;
         let key = Self::pending_key(request);
         if state == ConsentState::Granted {
-            let (_, requester, subject, resource, action) = key.clone();
-            self.granted.insert((requester, subject, resource, action));
+            let (_, requester, subject, resource, action) = &key;
+            self.granted.insert(
+                AccessKeyRef::new(requester, subject.as_deref(), resource, action).to_owned_key(),
+            );
         }
         self.pending_index.remove(&key);
         Ok(())
@@ -375,15 +377,8 @@ impl ConsentQueue {
         resource: &ResourceRef,
         action: &Action,
     ) -> bool {
-        // Borrowed-key lookup would need a custom Borrow impl for the
-        // 4-tuple; one small clone per PDP query beats the full scan this
-        // replaced by orders of magnitude at depth.
-        self.granted.contains(&(
-            requester.to_owned(),
-            subject.map(str::to_owned),
-            resource.clone(),
-            action.clone(),
-        ))
+        self.granted
+            .contains(&AccessKeyRef::new(requester, subject, resource, action) as &dyn AsAccessKey)
     }
 }
 

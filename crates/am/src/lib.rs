@@ -36,6 +36,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod access_key;
 pub mod audit;
 pub mod claims;
 pub mod consent;

@@ -19,6 +19,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use parking_lot::{Mutex, RwLock};
 
+use ucam_crypto::HmacKey;
 use ucam_policy::{
     AccessRequest, Action, Claim, ClaimRequirement, EngineDecision, EvalContext, Outcome,
     PolicyEngine, ResourceRef,
@@ -28,6 +29,7 @@ use ucam_webenv::{
     protocol, DecisionBody, Method, Request, Response, SimClock, Status, Transport, Url, WebApp,
 };
 
+use crate::access_key::{AccessKey, AccessKeyRef, AsAccessKey};
 use crate::audit::{AuditEntry, AuditEvent, AuditHub, AuditLog};
 use crate::claims::{ClaimIssuer, ClaimVerifier};
 use crate::consent::{Channel, ConsentHub, ConsentState, Notification, NotificationOutbox};
@@ -272,11 +274,12 @@ type AccountShard = HashMap<String, AccountSlot>;
 struct AmState {
     trust: TrustRegistry,
     claim_verifier: ClaimVerifier,
-    /// Host tokens retained at delegation time, keyed by (host, user).
-    /// Each doubles as the HMAC key a compiled sieve for that delegation
-    /// is signed with — a secret both ends already share, so the sieve
-    /// needs no new key exchange.
-    host_tokens: HashMap<(String, String), String>,
+    /// Host tokens retained at delegation time, keyed by (host, user),
+    /// prepared as HMAC keys. Each is the key the push bodies (sieves,
+    /// deltas, invalidations) for that delegation are signed with — a
+    /// secret both ends already share, so pushes need no new key
+    /// exchange.
+    host_keys: HashMap<(String, String), HmacKey>,
     idp: Option<IdentityVerifier>,
 }
 
@@ -284,10 +287,41 @@ struct AmState {
 #[derive(Default)]
 struct CtxShard {
     /// (requester, subject, resource, action) -> granted uses so far.
-    use_counts: HashMap<(String, Option<String>, ResourceRef, Action), u32>,
+    use_counts: HashMap<AccessKey, u32>,
     /// Claims verified at token-issuance time, reused at decision time,
     /// keyed by (requester, resource).
     satisfied_claims: HashMap<(String, ResourceRef), Vec<Claim>>,
+}
+
+impl CtxShard {
+    /// Granted uses of `key` so far.
+    fn prior_uses(&self, key: AccessKeyRef<'_>) -> u32 {
+        self.use_counts
+            .get(&key as &dyn AsAccessKey)
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// Counts one more granted use of `key`.
+    fn record_use(&mut self, key: AccessKeyRef<'_>) {
+        match self.use_counts.get_mut(&key as &dyn AsAccessKey) {
+            Some(uses) => *uses += 1,
+            None => {
+                self.use_counts.insert(key.to_owned_key(), 1);
+            }
+        }
+    }
+
+    /// Claims verified for `requester` on `resource`, if any. Probing
+    /// needs an owned key, so the common case — no claims recorded at
+    /// all — skips it.
+    fn claims_for(&self, requester: &str, resource: &ResourceRef) -> Option<&Vec<Claim>> {
+        if self.satisfied_claims.is_empty() {
+            return None;
+        }
+        self.satisfied_claims
+            .get(&(requester.to_owned(), resource.clone()))
+    }
 }
 
 /// One shard of the issued-grants registry: owner → `(token, grant)`
@@ -586,7 +620,7 @@ impl AuthorizationManager {
             let mut shipped_update: Option<ShippedSieve> = None;
             let mut sieved = false;
             if sieve_enabled {
-                if let Some((entries, epoch, host_token)) =
+                if let Some((entries, epoch, host_key)) =
                     self.compile_sieve(&push.host, &push.owner)
                 {
                     let next: HashMap<protocol::SieveFingerprint, u64> = entries
@@ -619,17 +653,12 @@ impl AuthorizationManager {
                                 base_epoch,
                                 added,
                                 removed,
-                                host_token.as_bytes(),
+                                &host_key,
                             )
                             .to_json()
                         }
-                        None => protocol::SieveBody::build(
-                            &push.owner,
-                            epoch,
-                            entries,
-                            host_token.as_bytes(),
-                        )
-                        .to_json(),
+                        None => protocol::SieveBody::build(&push.owner, epoch, entries, &host_key)
+                            .to_json(),
                     };
                     shipped_update = Some(ShippedSieve {
                         epoch,
@@ -646,16 +675,12 @@ impl AuthorizationManager {
                 // `compile_invalidations` refuses (`None`) whenever the
                 // list cannot be exact; the push then goes out plain and
                 // the Host falls back to the owner-wide purge.
-                if let Some((dead, epoch, host_token)) =
+                if let Some((dead, epoch, host_key)) =
                     self.compile_invalidations(&push.host, &push.owner)
                 {
-                    let body = protocol::InvalidationBody::build(
-                        &push.owner,
-                        epoch,
-                        dead,
-                        host_token.as_bytes(),
-                    )
-                    .to_json();
+                    let body =
+                        protocol::InvalidationBody::build(&push.owner, epoch, dead, &host_key)
+                            .to_json();
                     req = req.with_body(body);
                     invalidated = true;
                 }
@@ -734,7 +759,7 @@ impl AuthorizationManager {
     /// Compiles the capability sieve for one (host, owner) delegation:
     /// replays every live issued token through the same phase-A/phase-B
     /// evaluation as [`Self::decide`] and keeps the permits. Returns the
-    /// raw `(entries, epoch, host_token)` triple; the pump decides whether
+    /// raw `(entries, epoch, host_key)` triple; the pump decides whether
     /// to ship it as a full [`protocol::SieveBody`] or as a delta against
     /// the last confirmed ship.
     ///
@@ -755,17 +780,17 @@ impl AuthorizationManager {
         &self,
         host: &str,
         owner: &str,
-    ) -> Option<(Vec<protocol::SieveEntry>, u64, String)> {
+    ) -> Option<(Vec<protocol::SieveEntry>, u64, HmacKey)> {
         let now = self.clock.now_ms();
 
         // Scope 1 — central read: signing key and trust status.
-        let (host_token, trusted) = {
+        let (host_key, trusted) = {
             let state = self.state.read();
-            let token = state
-                .host_tokens
+            let key = state
+                .host_keys
                 .get(&(host.to_owned(), owner.to_owned()))?
                 .clone();
-            (token, state.trust.check(host, owner).is_ok())
+            (key, state.trust.check(host, owner).is_ok())
         };
         // Scope 1b — issued shard: the owner's live grants for this host.
         let grants: Vec<(String, AuthzGrant)> = if trusted {
@@ -786,7 +811,7 @@ impl AuthorizationManager {
             // Epoch 0 never beats an installed sieve; read the real epoch
             // so an empty sieve still supersedes older entries.
             let epoch = self.policy_epoch(owner);
-            return Some((Vec::new(), epoch, host_token));
+            return Some((Vec::new(), epoch, host_key));
         }
 
         // Scope 2 — shard read: expand realm grants to their member
@@ -862,20 +887,15 @@ impl AuthorizationManager {
                 );
                 let ctx = self.ctx_for(&c.grant.requester).read();
                 let claims = ctx
-                    .satisfied_claims
-                    .get(&(c.grant.requester.clone(), resource.clone()))
+                    .claims_for(&c.grant.requester, &resource)
                     .cloned()
                     .unwrap_or_default();
-                let prior_uses = ctx
-                    .use_counts
-                    .get(&(
-                        c.grant.requester.clone(),
-                        c.grant.subject.clone(),
-                        resource,
-                        c.action.clone(),
-                    ))
-                    .copied()
-                    .unwrap_or(0);
+                let prior_uses = ctx.prior_uses(AccessKeyRef::new(
+                    &c.grant.requester,
+                    c.grant.subject.as_deref(),
+                    &resource,
+                    &c.action,
+                ));
                 (consent_granted, claims, prior_uses)
             })
             .collect();
@@ -931,7 +951,7 @@ impl AuthorizationManager {
             (entries, slot.epoch)
         };
 
-        Some((entries, epoch, host_token))
+        Some((entries, epoch, host_key))
     }
 
     /// Records one cacheable permit in the outstanding-decisions registry
@@ -990,17 +1010,17 @@ impl AuthorizationManager {
         &self,
         host: &str,
         owner: &str,
-    ) -> Option<(Vec<protocol::SieveFingerprint>, u64, String)> {
+    ) -> Option<(Vec<protocol::SieveFingerprint>, u64, HmacKey)> {
         let now = self.clock.now_ms();
 
         // Scope 1 — central read: signing key and trust status.
-        let (host_token, trusted) = {
+        let (host_key, trusted) = {
             let state = self.state.read();
-            let token = state
-                .host_tokens
+            let key = state
+                .host_keys
                 .get(&(host.to_owned(), owner.to_owned()))?
                 .clone();
-            (token, state.trust.check(host, owner).is_ok())
+            (key, state.trust.check(host, owner).is_ok())
         };
 
         // Scope 1b — outstanding registry: prune expired tuples (their
@@ -1010,7 +1030,7 @@ impl AuthorizationManager {
             let Some(set) = shard.get_mut(owner) else {
                 // Nothing outstanding: the epoch advance invalidated
                 // nothing this AM ever answered for.
-                return Some((Vec::new(), self.policy_epoch(owner), host_token));
+                return Some((Vec::new(), self.policy_epoch(owner), host_key));
             };
             if set.overflowed {
                 return None;
@@ -1026,7 +1046,7 @@ impl AuthorizationManager {
         // A revoked delegation kills every outstanding permit at once.
         if !trusted {
             let dead = tuples.into_iter().map(|(fp, _)| fp).collect();
-            return Some((dead, self.policy_epoch(owner), host_token));
+            return Some((dead, self.policy_epoch(owner), host_key));
         }
 
         // Scope 2 — sharded reads: the same consent/claims/use-count
@@ -1069,20 +1089,15 @@ impl AuthorizationManager {
                 );
                 let ctx = self.ctx_for(&t.requester).read();
                 let claims = ctx
-                    .satisfied_claims
-                    .get(&(t.requester.clone(), resource.clone()))
+                    .claims_for(&t.requester, &resource)
                     .cloned()
                     .unwrap_or_default();
-                let prior_uses = ctx
-                    .use_counts
-                    .get(&(
-                        t.requester.clone(),
-                        grant.subject.clone(),
-                        resource,
-                        t.action.clone(),
-                    ))
-                    .copied()
-                    .unwrap_or(0);
+                let prior_uses = ctx.prior_uses(AccessKeyRef::new(
+                    &t.requester,
+                    grant.subject.as_deref(),
+                    &resource,
+                    &t.action,
+                ));
                 TupleCtx {
                     grant: Some(grant),
                     consent_granted,
@@ -1133,7 +1148,7 @@ impl AuthorizationManager {
             (dead, slot.epoch)
         };
 
-        Some((dead, epoch, host_token))
+        Some((dead, epoch, host_key))
     }
 
     /// Undelivered epoch pushes (due or backing off).
@@ -1240,11 +1255,12 @@ impl AuthorizationManager {
             let mut state = self.state.write();
             let delegation = state.trust.establish(host, user, now);
             let token = self.tokens.mint_host_token(host, user, &delegation.id);
-            // Retained as the sieve-signing key for this delegation; a
+            // Retained as the push-signing key for this delegation; a
             // token embeds its mint time, so it cannot be re-derived later.
-            state
-                .host_tokens
-                .insert((host.to_owned(), user.to_owned()), token.clone());
+            state.host_keys.insert(
+                (host.to_owned(), user.to_owned()),
+                HmacKey::new(token.as_bytes()),
+            );
             (delegation, token)
         };
         self.audit.record(
@@ -1384,21 +1400,15 @@ impl AuthorizationManager {
         );
         let prior_uses = {
             let ctx = self.ctx_for(&request.requester).read();
-            if let Some(previous) = ctx
-                .satisfied_claims
-                .get(&(request.requester.clone(), resource.clone()))
-            {
+            if let Some(previous) = ctx.claims_for(&request.requester, &resource) {
                 claims.extend(previous.iter().cloned());
             }
-            ctx.use_counts
-                .get(&(
-                    request.requester.clone(),
-                    request.subject.clone(),
-                    resource.clone(),
-                    request.action.clone(),
-                ))
-                .copied()
-                .unwrap_or(0)
+            ctx.prior_uses(AccessKeyRef::new(
+                &request.requester,
+                request.subject.as_deref(),
+                &resource,
+                &request.action,
+            ))
         };
 
         // Phase B — shard read: policy evaluation touches only the
@@ -1546,12 +1556,6 @@ impl AuthorizationManager {
         }
 
         let resource = ResourceRef::new(&host_grant.host, &query.resource_id);
-        let use_key = (
-            query.requester.clone(),
-            grant.subject.clone(),
-            resource.clone(),
-            query.action.clone(),
-        );
 
         // Phase A — sharded reads: consent (by owner), cached claims and
         // use counts (by requester). No central lock.
@@ -1562,15 +1566,19 @@ impl AuthorizationManager {
             &resource,
             &query.action,
         );
+        let use_key = AccessKeyRef::new(
+            &query.requester,
+            grant.subject.as_deref(),
+            &resource,
+            &query.action,
+        );
         let (claims, prior_uses) = {
             let ctx = self.ctx_for(&query.requester).read();
             let claims = ctx
-                .satisfied_claims
-                .get(&(query.requester.clone(), resource.clone()))
+                .claims_for(&query.requester, &resource)
                 .cloned()
                 .unwrap_or_default();
-            let prior_uses = ctx.use_counts.get(&use_key).copied().unwrap_or(0);
-            (claims, prior_uses)
+            (claims, ctx.prior_uses(use_key))
         };
 
         // Phase B — shard read: evaluate against the owner's policies and
@@ -1605,6 +1613,9 @@ impl AuthorizationManager {
         // bump. The writes land on structures partitioned by requester
         // and record order, so eight decision threads no longer convoy on
         // one central writer lock (the old 8-thread p99 cliff).
+        if matches!(engine_decision.outcome, Outcome::Permit) {
+            self.ctx_for(&query.requester).write().record_use(use_key);
+        }
         let mut entry = AuditEntry::new(
             now,
             &grant.owner,
@@ -1617,14 +1628,6 @@ impl AuthorizationManager {
         .for_action(query.action.clone());
         entry = entry.with_policies(contributing_policies(&engine_decision));
         self.audit.record(entry);
-        if matches!(engine_decision.outcome, Outcome::Permit) {
-            *self
-                .ctx_for(&query.requester)
-                .write()
-                .use_counts
-                .entry(use_key)
-                .or_insert(0) += 1;
-        }
 
         match engine_decision.outcome {
             Outcome::Permit => {
@@ -2077,15 +2080,14 @@ impl AuthorizationManager {
     fn web_authorize(&self, req: &Request) -> Response {
         let (host, owner, resource) =
             match (req.param("host"), req.param("owner"), req.param("resource")) {
-                (Some(h), Some(o), Some(r)) => (h.to_owned(), o.to_owned(), r.to_owned()),
+                (Some(h), Some(o), Some(r)) => (h, o, r),
                 _ => return Response::bad_request("host, owner, resource required"),
             };
-        let requester = match req.param("requester") {
-            Some(r) => r.to_owned(),
-            None => return Response::bad_request("requester required"),
+        let Some(requester) = req.param("requester") else {
+            return Response::bad_request("requester required");
         };
         let action = parse_action(req.param("action"));
-        let mut authz = AuthorizeRequest::new(&host, &owner, &resource, action, &requester);
+        let mut authz = AuthorizeRequest::new(host, owner, resource, action, requester);
         if let Some(token) = req.param("subject_token") {
             match self.verify_subject(token) {
                 Some(subject) => authz.subject = Some(subject),

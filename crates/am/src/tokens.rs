@@ -15,6 +15,7 @@
 //! Both are HMAC-sealed key/value payloads, opaque to every party except
 //! the issuing AM.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use ucam_crypto::SigningKey;
@@ -60,50 +61,88 @@ impl fmt::Display for TokenError {
 
 impl std::error::Error for TokenError {}
 
-/// Escapes `;`, `=` and `%` so arbitrary values survive the k=v encoding.
-fn escape(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for c in value.chars() {
-        match c {
-            '%' => out.push_str("%25"),
-            ';' => out.push_str("%3B"),
-            '=' => out.push_str("%3D"),
-            other => out.push(other),
+/// Appends `value` to `out` with `;`, `=` and `%` escaped, so arbitrary
+/// values survive the k=v encoding.
+fn push_escaped(out: &mut String, value: &str) {
+    let mut rest = value;
+    while let Some(i) = rest.find(['%', ';', '=']) {
+        out.push_str(&rest[..i]);
+        out.push_str(match rest.as_bytes()[i] {
+            b'%' => "%25",
+            b';' => "%3B",
+            _ => "%3D",
+        });
+        rest = &rest[i + 1..];
+    }
+    out.push_str(rest);
+}
+
+/// Length of `value` once escaped by [`push_escaped`].
+fn escaped_len(value: &str) -> usize {
+    value.len()
+        + 2 * value
+            .bytes()
+            .filter(|b| matches!(b, b'%' | b';' | b'='))
+            .count()
+}
+
+/// Reverses [`push_escaped`]. Borrows unless the value holds an escape.
+fn unescape(value: &str) -> Cow<'_, str> {
+    if value.contains('%') {
+        Cow::Owned(
+            value
+                .replace("%3B", ";")
+                .replace("%3D", "=")
+                .replace("%25", "%"),
+        )
+    } else {
+        Cow::Borrowed(value)
+    }
+}
+
+/// Encodes `k=v` pairs joined by `;` into one exactly sized `String`.
+fn encode_fields(fields: &[(&str, &str)]) -> String {
+    let len = fields
+        .iter()
+        .map(|(k, v)| k.len() + 1 + escaped_len(v))
+        .sum::<usize>()
+        + fields.len().saturating_sub(1);
+    let mut out = String::with_capacity(len);
+    for (i, (k, v)) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push(';');
         }
+        out.push_str(k);
+        out.push('=');
+        push_escaped(&mut out, v);
     }
     out
 }
 
-fn unescape(value: &str) -> String {
-    value
-        .replace("%3B", ";")
-        .replace("%3D", "=")
-        .replace("%25", "%")
-}
+/// The `k=v` fields of an opened token payload, borrowed from it.
+struct Fields<'a>(&'a str);
 
-fn encode_fields(fields: &[(&str, &str)]) -> String {
-    fields
-        .iter()
-        .map(|(k, v)| format!("{k}={}", escape(v)))
-        .collect::<Vec<_>>()
-        .join(";")
-}
-
-fn decode_fields(payload: &str) -> Vec<(String, String)> {
-    payload
-        .split(';')
-        .filter_map(|pair| {
+impl<'a> Fields<'a> {
+    /// The value of the first field named `key`; pairs without `=` are
+    /// skipped.
+    fn get(&self, key: &str) -> Option<Cow<'a, str>> {
+        self.0.split(';').find_map(|pair| {
             let (k, v) = pair.split_once('=')?;
-            Some((k.to_owned(), unescape(v)))
+            (k == key).then(|| unescape(v))
         })
-        .collect()
-}
+    }
 
-fn field<'a>(fields: &'a [(String, String)], key: &str) -> Option<&'a str> {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v.as_str())
+    fn required(&self, key: &str) -> Result<String, TokenError> {
+        self.get(key)
+            .map(Cow::into_owned)
+            .ok_or(TokenError::Invalid)
+    }
+
+    fn required_u64(&self, key: &str) -> Result<u64, TokenError> {
+        self.get(key)
+            .and_then(|v| v.parse().ok())
+            .ok_or(TokenError::Invalid)
+    }
 }
 
 /// The parsed contents of a host access token.
@@ -206,15 +245,14 @@ impl TokenService {
     ///
     /// Returns [`TokenError::Invalid`] or [`TokenError::WrongKind`].
     pub fn validate_host_token(&self, token: &str) -> Result<HostGrant, TokenError> {
-        let fields = self.open(token)?;
-        self.expect_kind(&fields, "host")?;
+        let payload = self.open(token)?;
+        let fields = Fields(&payload);
+        expect_kind(&fields, "host")?;
         Ok(HostGrant {
-            host: required(&fields, "host")?,
-            user: required(&fields, "user")?,
-            issued_at_ms: required(&fields, "iat")?
-                .parse()
-                .map_err(|_| TokenError::Invalid)?,
-            delegation_id: required(&fields, "del")?,
+            host: fields.required("host")?,
+            user: fields.required("user")?,
+            issued_at_ms: fields.required_u64("iat")?,
+            delegation_id: fields.required("del")?,
         })
     }
 
@@ -223,7 +261,7 @@ impl TokenService {
     pub fn mint_authz_token(&self, grant: &AuthzGrant) -> String {
         let exp = grant.expires_at_ms.to_string();
         let nonce = ucam_crypto::random_token(8);
-        let mut fields: Vec<(&str, &str)> = vec![
+        let mut fields = [
             ("kind", "authz"),
             ("res", &grant.resource_id),
             ("host", &grant.host),
@@ -231,14 +269,17 @@ impl TokenService {
             ("owner", &grant.owner),
             ("exp", &exp),
             ("n", &nonce),
+            ("", ""),
+            ("", ""),
         ];
-        if let Some(realm) = &grant.realm {
-            fields.push(("realm", realm));
+        let mut len = 7;
+        for (key, value) in [("realm", &grant.realm), ("sub", &grant.subject)] {
+            if let Some(value) = value {
+                fields[len] = (key, value);
+                len += 1;
+            }
         }
-        if let Some(subject) = &grant.subject {
-            fields.push(("sub", subject));
-        }
-        let payload = encode_fields(&fields);
+        let payload = encode_fields(&fields[..len]);
         self.key.seal(payload.as_bytes())
     }
 
@@ -282,18 +323,17 @@ impl TokenService {
         resource_id: &str,
         requester: &str,
     ) -> Result<AuthzGrant, TokenError> {
-        let fields = self.open(token)?;
-        self.expect_kind(&fields, "authz")?;
+        let payload = self.open(token)?;
+        let fields = Fields(&payload);
+        expect_kind(&fields, "authz")?;
         let grant = AuthzGrant {
-            realm: field(&fields, "realm").map(str::to_owned),
-            resource_id: required(&fields, "res")?,
-            host: required(&fields, "host")?,
-            requester: required(&fields, "req")?,
-            subject: field(&fields, "sub").map(str::to_owned),
-            owner: required(&fields, "owner")?,
-            expires_at_ms: required(&fields, "exp")?
-                .parse()
-                .map_err(|_| TokenError::Invalid)?,
+            realm: fields.get("realm").map(Cow::into_owned),
+            resource_id: fields.required("res")?,
+            host: fields.required("host")?,
+            requester: fields.required("req")?,
+            subject: fields.get("sub").map(Cow::into_owned),
+            owner: fields.required("owner")?,
+            expires_at_ms: fields.required_u64("exp")?,
         };
         if self.clock.now_ms() >= grant.expires_at_ms {
             return Err(TokenError::Expired);
@@ -321,32 +361,22 @@ impl TokenService {
         Ok(grant)
     }
 
-    fn open(&self, token: &str) -> Result<Vec<(String, String)>, TokenError> {
+    /// Verifies `token` and returns its payload text.
+    fn open(&self, token: &str) -> Result<String, TokenError> {
         let payload = self.key.open(token).map_err(|_| TokenError::Invalid)?;
-        let text = String::from_utf8(payload).map_err(|_| TokenError::Invalid)?;
-        Ok(decode_fields(&text))
-    }
-
-    fn expect_kind(
-        &self,
-        fields: &[(String, String)],
-        expected: &'static str,
-    ) -> Result<(), TokenError> {
-        match field(fields, "kind") {
-            Some(k) if k == expected => Ok(()),
-            Some(k) => Err(TokenError::WrongKind {
-                expected,
-                found: k.to_owned(),
-            }),
-            None => Err(TokenError::Invalid),
-        }
+        String::from_utf8(payload).map_err(|_| TokenError::Invalid)
     }
 }
 
-fn required(fields: &[(String, String)], key: &str) -> Result<String, TokenError> {
-    field(fields, key)
-        .map(str::to_owned)
-        .ok_or(TokenError::Invalid)
+fn expect_kind(fields: &Fields<'_>, expected: &'static str) -> Result<(), TokenError> {
+    match fields.get("kind") {
+        Some(k) if k == expected => Ok(()),
+        Some(k) => Err(TokenError::WrongKind {
+            expected,
+            found: k.into_owned(),
+        }),
+        None => Err(TokenError::Invalid),
+    }
 }
 
 #[cfg(test)]
@@ -357,6 +387,36 @@ mod tests {
     fn service() -> (TokenService, SimClock) {
         let clock = SimClock::new();
         (TokenService::new(clock.clone()), clock)
+    }
+
+    /// A sealed token and an encoded payload pinned byte for byte: a
+    /// fixed key and clock, values full of separators and escapes.
+    #[test]
+    fn sealed_host_token_matches_golden() {
+        let clock = SimClock::new();
+        clock.advance_ms(42);
+        let svc = TokenService {
+            key: SigningKey::from_secret(*b"0123456789abcdef0123456789abcdef"),
+            clock,
+            ttl_ms: AUTHZ_TOKEN_TTL_MS,
+        };
+        let token = svc.mint_host_token("web;pics=example", "b%3Bo%25b", "d-1");
+        assert_eq!(
+            token,
+            "a2luZD1ob3N0O2hvc3Q9d2ViJTNCcGljcyUzRGV4YW1wbGU7dXNlcj1iJTI1M0JvJTI1MjViO2lhdD00MjtkZWw9ZC0x\
+             .xz7A9E4iQBMyF2smSAMYW-8sL2QnbRBnj8V3QI3dUmY"
+        );
+        let grant = svc.validate_host_token(&token).unwrap();
+        assert_eq!(grant.host, "web;pics=example");
+        assert_eq!(grant.user, "b%3Bo%25b");
+        assert_eq!(
+            encode_fields(&[
+                ("kind", "authz"),
+                ("res", "a;b=c%d%3B%25"),
+                ("sub", "plain")
+            ]),
+            "kind=authz;res=a%3Bb%3Dc%25d%253B%2525;sub=plain"
+        );
     }
 
     #[test]
@@ -505,6 +565,25 @@ mod tests {
     }
 
     proptest! {
+        /// The field codec round-trips values dense in separators and in
+        /// text that looks like escapes (`%3B`, `%25`), and the escaped
+        /// form holds no raw separator.
+        #[test]
+        fn field_codec_roundtrips(
+            a in "[%%;;==3BD25x]{0,16}",
+            b in "[%%;;==3BD25x]{0,16}",
+        ) {
+            let payload = encode_fields(&[("a", &a), ("kind", "k"), ("b", &b)]);
+            prop_assert_eq!(payload.len(), 12 + escaped_len(&a) + escaped_len(&b));
+            prop_assert_eq!(payload.matches(';').count(), 2);
+            prop_assert_eq!(payload.matches('=').count(), 3);
+            let fields = Fields(&payload);
+            prop_assert_eq!(fields.get("a").as_deref(), Some(a.as_str()));
+            prop_assert_eq!(fields.get("b").as_deref(), Some(b.as_str()));
+            prop_assert_eq!(fields.get("kind").as_deref(), Some("k"));
+            prop_assert_eq!(fields.get("missing"), None);
+        }
+
         /// Values containing the k=v separators survive token round trips.
         #[test]
         fn hostile_values_roundtrip(

@@ -10,7 +10,7 @@
 //! it here, so an accidental `String`/`Vec` on the hot path fails the
 //! bench run instead of quietly re-taxing every round trip. The owned
 //! promotions (`build_request`/`build_response`) allocate by design and
-//! are measured for ns/op only.
+//! are measured for ns/op, and their allocations per message are printed.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -110,6 +110,24 @@ fn bench_http_codec(c: &mut Criterion) {
         "steady-state encode/scan/parse allocated {allocs} times in 1000 iterations"
     );
     println!("http_codec: steady-state allocations per round trip = 0 (gate passed)");
+
+    // ---- owned promotions: reported, not gated ------------------------
+    // `build_request`/`build_response` allocate by design (the structs own
+    // their strings); print the count per message beside the ns/op.
+    let req_head = codec::parse_head(&req_wire[..req_head_end]).expect("head parses");
+    let request_allocs = count_allocs(|| {
+        let built = codec::build_request(&req_head, black_box(&req_wire[req_head_end..]));
+        black_box(built.expect("request builds"));
+    });
+    let resp_head = codec::parse_head(&resp_wire[..resp_head_end]).expect("head parses");
+    let response_allocs = count_allocs(|| {
+        let built = codec::build_response(&resp_head, black_box(&resp_wire[resp_head_end..]));
+        black_box(built.expect("response builds"));
+    });
+    println!(
+        "http_codec: allocations per message: build_request = {request_allocs}, \
+         build_response = {response_allocs}"
+    );
 
     // ---- ns/op ------------------------------------------------------
     let mut group = c.benchmark_group("http_codec");

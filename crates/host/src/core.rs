@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use ucam_crypto::sha256;
+use ucam_crypto::{sha256, HmacKey};
 use ucam_policy::{AccessRequest, AclMatrix, Action, EvalContext, Outcome, ResourceRef};
 use ucam_webenv::{
     protocol, BatchItem, DecisionBody, Method, Request, Response, RetryPolicy, SimClock, Status,
@@ -770,13 +770,37 @@ impl fmt::Display for HostError {
 
 impl std::error::Error for HostError {}
 
+/// A delegation as the Host holds it: the config, plus its host token
+/// prepared once as the HMAC key that AM push bodies (sieves, deltas,
+/// invalidations) are verified with.
+struct HeldDelegation {
+    config: DelegationConfig,
+    push_key: HmacKey,
+}
+
+impl HeldDelegation {
+    fn new(config: DelegationConfig) -> Arc<Self> {
+        let push_key = HmacKey::new(config.host_token.as_bytes());
+        Arc::new(HeldDelegation { config, push_key })
+    }
+}
+
+impl std::ops::Deref for HeldDelegation {
+    type Target = DelegationConfig;
+
+    fn deref(&self) -> &DelegationConfig {
+        &self.config
+    }
+}
+
 #[derive(Default)]
 struct HostState {
     resources: BTreeMap<String, Resource>,
-    /// user -> delegation for all their resources on this host.
-    user_delegations: HashMap<String, DelegationConfig>,
+    /// user -> delegation for all their resources on this host. Shared,
+    /// so the enforce path can hold one past the state lock for free.
+    user_delegations: HashMap<String, Arc<HeldDelegation>>,
     /// resource id -> delegation override (different AM per resource).
-    resource_delegations: HashMap<String, DelegationConfig>,
+    resource_delegations: HashMap<String, Arc<HeldDelegation>>,
     /// resource id -> built-in ACL (legacy mechanism).
     legacy_acls: HashMap<String, AclMatrix>,
 }
@@ -1323,17 +1347,17 @@ impl HostCore {
     /// new epoch instead of purged) is exactly what the signature vouches
     /// for.
     pub fn install_invalidation(&self, body: &protocol::InvalidationBody) -> bool {
-        let (key, signer) = {
+        let delegation = {
             let state = self.state.read();
             let Some(delegation) = state.user_delegations.get(&body.owner) else {
                 return false;
             };
-            (delegation.host_token.clone(), delegation.am.clone())
+            Arc::clone(delegation)
         };
-        if !body.verify(key.as_bytes()) {
+        if !body.verify(&delegation.push_key) {
             return false;
         }
-        self.apply_invalidation(&body.owner, &signer, body.epoch, &body.invalidated);
+        self.apply_invalidation(&body.owner, &delegation.am, body.epoch, &body.invalidated);
         true
     }
 
@@ -1473,7 +1497,7 @@ impl HostCore {
         let accepted: Option<Vec<&protocol::SieveEntry>> = {
             let state = self.state.read();
             match state.user_delegations.get(&sieve.owner) {
-                Some(config) if sieve.verify(config.host_token.as_bytes()) => {
+                Some(config) if sieve.verify(&config.push_key) => {
                     let mut entries = Vec::with_capacity(sieve.entries.len());
                     let mut all_valid = true;
                     for entry in &sieve.entries {
@@ -1573,7 +1597,7 @@ impl HostCore {
         let accepted: Option<Vec<&protocol::SieveEntry>> = {
             let state = self.state.read();
             match state.user_delegations.get(&delta.owner) {
-                Some(config) if delta.verify(config.host_token.as_bytes()) => {
+                Some(config) if delta.verify(&config.push_key) => {
                     let mut entries = Vec::with_capacity(delta.added.len());
                     let mut all_valid = true;
                     for entry in &delta.added {
@@ -1877,7 +1901,7 @@ impl HostCore {
         self.state
             .write()
             .user_delegations
-            .insert(user.to_owned(), config);
+            .insert(user.to_owned(), HeldDelegation::new(config));
         // Entries were vouched under the old delegation's secret.
         self.purge_sieve_owner(user);
     }
@@ -1888,7 +1912,7 @@ impl HostCore {
         self.state
             .write()
             .resource_delegations
-            .insert(resource_id.to_owned(), config);
+            .insert(resource_id.to_owned(), HeldDelegation::new(config));
         // The overriding AM, not the sieve's signer, now governs it.
         self.purge_sieve_resource(resource_id);
     }
@@ -1897,7 +1921,7 @@ impl HostCore {
     pub fn clear_user_delegation(&self, user: &str) -> Option<DelegationConfig> {
         let removed = self.state.write().user_delegations.remove(user);
         self.purge_sieve_owner(user);
-        removed
+        removed.map(|held| held.config.clone())
     }
 
     /// The delegation governing `resource_id` owned by `owner`:
@@ -1909,7 +1933,7 @@ impl HostCore {
             .resource_delegations
             .get(resource_id)
             .or_else(|| state.user_delegations.get(owner))
-            .cloned()
+            .map(|held| held.config.clone())
     }
 
     // -- legacy built-in ACLs (§III) -------------------------------------------
@@ -1982,10 +2006,12 @@ impl HostCore {
                 // §V.B.6 warm path: a bearer whose decision is cached is
                 // granted while everything is still borrowed from the one
                 // state read — no resource/delegation clones, no dispatch.
-                if let Some(token) = bearer {
+                let probe = bearer.map(|token| {
                     let cache_key = (requester.to_owned(), resource_id.to_owned(), action.clone());
-                    let digest = token_digest(token);
-                    if self.cache.read().lookup(&cache_key, &digest, now) {
+                    (token, cache_key, token_digest(token))
+                });
+                if let Some((_, cache_key, digest)) = &probe {
+                    if self.cache.read().lookup(cache_key, digest, now) {
                         drop(state);
                         self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
                         net.trace().note_with(&self.authority, || {
@@ -2002,27 +2028,26 @@ impl HostCore {
                         return Enforcement::Grant;
                     }
                 }
-                // Redirect or decision query: clone out what the slow path
+                // Redirect or decision query: take out what the slow path
                 // needs and release the state lock before dispatching.
-                let delegation = delegation.clone();
-                let resource = resource.clone();
+                let delegation = Arc::clone(delegation);
+                let owner = resource.owner.clone();
                 drop(state);
                 self.enforce_delegated(
                     net,
                     &delegation,
-                    &resource,
+                    &owner,
                     requester,
                     resource_id,
                     action,
-                    bearer,
+                    probe,
                     return_url,
                     now,
                 )
             }
             None => {
-                let resource = resource.clone();
                 drop(state);
-                self.enforce_legacy(subject, requester, &resource, action, now)
+                self.enforce_legacy(subject, requester, resource_id, action, now)
             }
         }
     }
@@ -2112,7 +2137,7 @@ impl HostCore {
                 is_pending[index] = true;
                 pending.push(PendingQuery {
                     index,
-                    delegation: delegation.clone(),
+                    delegation: Arc::clone(delegation),
                     owner: resource.owner.clone(),
                     token: token.to_owned(),
                     cache_key,
@@ -2351,20 +2376,24 @@ impl HostCore {
         }
     }
 
+    /// The delegated slow path of [`HostCore::enforce`]. `probe` carries
+    /// the bearer token with the decision-cache key and token digest the
+    /// caller already built for its warm-path lookup; `None` means no
+    /// bearer was presented.
     #[allow(clippy::too_many_arguments)]
     fn enforce_delegated(
         &self,
         net: &dyn Transport,
         delegation: &DelegationConfig,
-        resource: &Resource,
+        owner: &str,
         requester: &str,
         resource_id: &str,
         action: &Action,
-        bearer: Option<&str>,
+        probe: Option<(&str, CacheKey, [u8; 32])>,
         return_url: &Url,
         now: u64,
     ) -> Enforcement {
-        let Some(token) = bearer else {
+        let Some((token, cache_key, token_digest)) = probe else {
             // Fig. 5: "a Host redirects a Requester to the AM along with
             // information about the Host and the resource".
             self.record(
@@ -2378,9 +2407,9 @@ impl HostCore {
             self.stats.redirects.fetch_add(1, Ordering::Relaxed);
             let authorize = Url::new(&delegation.am, "/authorize")
                 .with_query("host", &self.authority)
-                .with_query("owner", &resource.owner)
+                .with_query("owner", owner)
                 .with_query("resource", resource_id)
-                .with_query("action", &action.to_string())
+                .with_query("action", action_label(action))
                 .with_query("requester", requester)
                 .with_query("return", &return_url.to_string());
             return Enforcement::Block(
@@ -2392,8 +2421,6 @@ impl HostCore {
         // §V.B.6: consult the cached decision first. The hit is only
         // valid for the same bearer token (by digest), within its TTL,
         // and while the owner's policy epoch is unchanged.
-        let cache_key = (requester.to_owned(), resource_id.to_owned(), action.clone());
-        let token_digest = token_digest(token);
         if self.cache.read().lookup(&cache_key, &token_digest, now) {
             self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
             // Lazy label: free (one atomic load) while tracing is off.
@@ -2433,7 +2460,7 @@ impl HostCore {
         // *answers* (permit, deny, 401, even an application 5xx) is always
         // taken at its word.
         let resilience = self.resilience.read().clone();
-        let mut answered_by = delegation.am.clone();
+        let mut answered_by = delegation.am.as_str();
         let mut resp = self.query_decision(
             net,
             &resilience,
@@ -2445,7 +2472,7 @@ impl HostCore {
             if_epoch,
         );
         if resp.transport_error().is_some() {
-            if let Some(fallback) = resilience.fallback_for(&delegation.am, &resource.owner) {
+            if let Some(fallback) = resilience.fallback_for(&delegation.am, owner) {
                 self.stats.fallback_queries.fetch_add(1, Ordering::Relaxed);
                 net.trace().note_with(&self.authority, || {
                     format!(
@@ -2457,7 +2484,7 @@ impl HostCore {
                 // entry's epoch lives in the *primary* AM's epoch space,
                 // and a numerically equal epoch at the mirror would
                 // falsely re-arm it.
-                answered_by = fallback.am.clone();
+                answered_by = &fallback.am;
                 resp = self.query_decision(
                     net,
                     &resilience,
@@ -2476,7 +2503,7 @@ impl HostCore {
         self.settle_decision(
             net,
             classify_decision(&resp),
-            &resource.owner,
+            owner,
             requester,
             resource_id,
             action,
@@ -2484,7 +2511,7 @@ impl HostCore {
             token_digest,
             fingerprint,
             if_epoch,
-            &answered_by,
+            answered_by,
             now,
         )
     }
@@ -2752,11 +2779,11 @@ impl HostCore {
             protocol::DECISION_PATH
         };
         self.dispatch_protected(net, resilience, am, &|| {
-            let mut req = Request::new(Method::Post, &format!("https://{am}{path}"))
+            let mut req = Request::to_url(Method::Post, Url::new(am, path))
                 .with_param("host_token", &delegation.host_token)
                 .with_param("token", token)
                 .with_param("resource", resource_id)
-                .with_param("action", &action.to_string())
+                .with_param("action", action_label(action))
                 .with_param("requester", requester);
             if let Some(epoch) = if_epoch {
                 req = req.with_param("if_epoch", &epoch.to_string());
@@ -2837,14 +2864,14 @@ impl HostCore {
         &self,
         subject: Option<&str>,
         requester: &str,
-        resource: &Resource,
+        resource_id: &str,
         action: &Action,
         now: u64,
     ) -> Enforcement {
         self.stats.legacy_checks.fetch_add(1, Ordering::Relaxed);
-        let acl = self.legacy_acl(&resource.id).unwrap_or_default();
+        let acl = self.legacy_acl(resource_id).unwrap_or_default();
         let mut access =
-            AccessRequest::new(&self.authority, &resource.id, action.clone()).via_app(requester);
+            AccessRequest::new(&self.authority, resource_id, action.clone()).via_app(requester);
         if let Some(subject) = subject {
             access = access.by_user(subject);
         }
@@ -2853,7 +2880,7 @@ impl HostCore {
         self.record(
             now,
             requester,
-            &resource.id,
+            resource_id,
             action,
             granted,
             DecisionPath::LegacyAcl,
@@ -2962,7 +2989,7 @@ fn classify_batch(resp: &Response, expected: usize) -> Vec<DecisionOutcome> {
 struct PendingQuery {
     /// Position in the round's `attempts` slice.
     index: usize,
-    delegation: DelegationConfig,
+    delegation: Arc<HeldDelegation>,
     owner: String,
     token: String,
     cache_key: CacheKey,
@@ -3084,6 +3111,39 @@ mod tests {
             },
         );
         h
+    }
+
+    /// The Fig. 5 redirect a Host sends a tokenless requester, pinned
+    /// byte for byte: every escaped character class, a nested return URL
+    /// and a custom action.
+    #[test]
+    fn redirect_location_matches_golden() {
+        let net = SimNet::new();
+        let h = delegated_host(&net);
+        let id = "albums/trip 1/ph%to;1";
+        h.put_resource(id, "bob", "photo", Vec::new()).unwrap();
+        let return_url =
+            Url::new("h.example", "/albums/trip 1/ph%to;1").with_query("view", "full size&more=é");
+        let Enforcement::Block(resp) = h.enforce(
+            &net,
+            "requester:édit",
+            None,
+            id,
+            &Action::Custom("re=view".into()),
+            None,
+            &return_url,
+        ) else {
+            panic!("expected a redirect");
+        };
+        assert_eq!(
+            resp.header("location"),
+            Some(
+                "https://am.example/authorize?action=re%3Dview&host=h.example&owner=bob\
+                 &requester=requester%3A%C3%A9dit&resource=albums%2Ftrip%201%2Fph%25to%3B1\
+                 &return=https%3A%2F%2Fh.example%2Falbums%2Ftrip%201%2Fph%25to%3B1%3Fview\
+                 %3Dfull%2520size%2526more%253D%25C3%25A9"
+            )
+        );
     }
 
     #[test]
@@ -4007,7 +4067,7 @@ mod tests {
                 },
             )
             .collect();
-        SieveBody::build("bob", epoch, entries, b"ht")
+        SieveBody::build("bob", epoch, entries, &HmacKey::new(b"ht"))
     }
 
     #[test]
@@ -4054,12 +4114,12 @@ mod tests {
                 resource: "r1".into(),
                 expires_at_ms: 60_000,
             }],
-            b"not-ht",
+            &HmacKey::new(b"not-ht"),
         );
         assert!(!h.install_sieve(&bad_key));
 
         // Owner with no delegation here.
-        let no_owner = SieveBody::build("mallory", 1, Vec::new(), b"ht");
+        let no_owner = SieveBody::build("mallory", 1, Vec::new(), &HmacKey::new(b"ht"));
         assert!(!h.install_sieve(&no_owner));
 
         // Entry for a resource bob does not own.
@@ -4110,7 +4170,14 @@ mod tests {
                 protocol::sieve_fingerprint(token, resource, action, requester)
             })
             .collect();
-        protocol::SieveDeltaBody::build("bob", epoch, base_epoch, added, removed, b"ht")
+        protocol::SieveDeltaBody::build(
+            "bob",
+            epoch,
+            base_epoch,
+            added,
+            removed,
+            &HmacKey::new(b"ht"),
+        )
     }
 
     #[test]
@@ -4206,7 +4273,14 @@ mod tests {
         assert!(h.install_sieve(&sieve_of(1, 60_000, &[("tok", "r1", "read", "req")])));
 
         // Wrong signing key.
-        let bad_key = protocol::SieveDeltaBody::build("bob", 2, 1, Vec::new(), Vec::new(), b"no");
+        let bad_key = protocol::SieveDeltaBody::build(
+            "bob",
+            2,
+            1,
+            Vec::new(),
+            Vec::new(),
+            &HmacKey::new(b"no"),
+        );
         assert_eq!(h.install_sieve_delta(&bad_key), SieveDeltaOutcome::Rejected);
 
         // Tampered after signing.
@@ -4225,7 +4299,8 @@ mod tests {
         }
 
         // Owner with no delegation here.
-        let no_owner = protocol::SieveDeltaBody::build("mallory", 2, 1, vec![], vec![], b"ht");
+        let no_owner =
+            protocol::SieveDeltaBody::build("mallory", 2, 1, vec![], vec![], &HmacKey::new(b"ht"));
         assert_eq!(
             h.install_sieve_delta(&no_owner),
             SieveDeltaOutcome::Rejected

@@ -267,10 +267,11 @@ impl<'a> Parser<'a> {
             "quot" => '"',
             "apos" => '\'',
             _ => {
+                // Digits only: the integer parsers would also take a sign.
                 let code = if let Some(hex) = text.strip_prefix("#x") {
-                    u32::from_str_radix(hex, 16).ok()
+                    digits(hex, u8::is_ascii_hexdigit).and_then(|h| u32::from_str_radix(h, 16).ok())
                 } else if let Some(dec) = text.strip_prefix('#') {
-                    dec.parse::<u32>().ok()
+                    digits(dec, u8::is_ascii_digit).and_then(|d| d.parse::<u32>().ok())
                 } else {
                     None
                 };
@@ -376,6 +377,11 @@ impl<'a> Parser<'a> {
             }
         }
     }
+}
+
+/// `s` when it is a non-empty run of `is_digit` bytes.
+fn digits(s: &str, is_digit: fn(&u8) -> bool) -> Option<&str> {
+    (!s.is_empty() && s.as_bytes().iter().all(is_digit)).then_some(s)
 }
 
 /// Parses an XML document into its root element.
@@ -1043,6 +1049,16 @@ mod tests {
     fn parse_numeric_entities() {
         let root = parse("<a>&#65;&#x42;</a>").unwrap();
         assert_eq!(root.text, "AB");
+    }
+
+    #[test]
+    fn numeric_entities_take_digits_only() {
+        for malformed in ["&#x+41;", "&#+65;", "&#x;", "&#;", "&#x-41;", "&# 65;"] {
+            assert!(
+                parse(&format!("<a>{malformed}</a>")).is_err(),
+                "{malformed} parsed"
+            );
+        }
     }
 
     #[test]

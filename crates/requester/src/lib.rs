@@ -25,6 +25,7 @@
 #![warn(missing_docs)]
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 
 use ucam_webenv::{protocol, Method, Request, Response, RetryPolicy, Status, Transport, Url};
 
@@ -228,7 +229,7 @@ pub struct RequesterClient {
     /// Sealed claim tokens presented to AMs (§VII).
     claim_tokens: Vec<String>,
     /// (host, resource, action) -> cached authorization token.
-    tokens: HashMap<(String, String, String), String>,
+    tokens: TokenCache,
     /// Optional retry discipline for every dispatch this client makes.
     /// Only transport failures are retried, so on a healthy network the
     /// message counts (E7) are identical with or without a policy.
@@ -249,7 +250,7 @@ impl RequesterClient {
             label: label.to_owned(),
             subject_token: None,
             claim_tokens: Vec::new(),
-            tokens: HashMap::new(),
+            tokens: TokenCache::default(),
             retry: None,
             fallback_ams: HashMap::new(),
             stats: RequesterStats::default(),
@@ -315,8 +316,7 @@ impl RequesterClient {
     /// Performs one access, transparently running the token flow.
     pub fn access(&mut self, net: &dyn Transport, spec: &AccessSpec) -> AccessOutcome {
         self.stats.accesses += 1;
-        let cache_key = self.cache_key(spec);
-        let cached = self.tokens.get(&cache_key).cloned();
+        let cached = self.tokens.get(spec).map(str::to_owned);
         if cached.is_some() {
             self.stats.cache_hits += 1;
         }
@@ -356,14 +356,8 @@ impl RequesterClient {
         let mut warm: Vec<usize> = Vec::with_capacity(specs.len());
         let mut reqs: Vec<Request> = Vec::with_capacity(specs.len());
         for (i, spec) in specs.iter().enumerate() {
-            if let Some(token) = self.tokens.get(&self.cache_key(spec)) {
-                // Same request `send` would build for a cache hit.
-                reqs.push(
-                    Request::to_url(spec.method, spec.url.clone())
-                        .with_header("x-requester", &self.label)
-                        .with_body(spec.body.clone())
-                        .with_bearer(token),
-                );
+            if let Some(token) = self.tokens.get(spec) {
+                reqs.push(access_request(&self.label, spec, Some(token)));
                 warm.push(i);
                 self.stats.accesses += 1;
                 self.stats.cache_hits += 1;
@@ -438,7 +432,7 @@ impl RequesterClient {
         self.stats.token_requests += chunks.len() as u64;
         let resps: Vec<Response> = if self.retry.is_some() || reqs.len() == 1 {
             reqs.into_iter()
-                .map(|req| self.dispatch_retrying(net, || req.clone()))
+                .map(|req| self.dispatch_retrying(net, req))
                 .collect()
         } else {
             net.dispatch_pipelined(&self.label, reqs)
@@ -483,7 +477,7 @@ impl RequesterClient {
     ) -> PreAuthorization {
         match reply {
             protocol::AuthorizeReply::Token(token) => {
-                self.tokens.insert(self.cache_key(&request.spec), token);
+                self.tokens.insert(&request.spec, token);
                 PreAuthorization::Authorized
             }
             protocol::AuthorizeReply::Denied(reason) => PreAuthorization::Denied(reason),
@@ -507,23 +501,22 @@ impl RequesterClient {
         spec: &AccessSpec,
         first: Response,
     ) -> AccessOutcome {
-        let cache_key = self.cache_key(spec);
         match self.classify(net, spec, first) {
             Classified::Done(outcome) => outcome,
             Classified::GotToken(token) => {
-                self.tokens.insert(cache_key, token.clone());
+                self.tokens.insert(spec, token.clone());
                 let resp = self.send(net, spec, Some(&token));
                 self.finish(resp)
             }
             Classified::TokenRejected => {
                 // One transparent re-authorization (expired/stale token).
                 self.stats.reauthorizations += 1;
-                self.tokens.remove(&cache_key);
+                self.tokens.remove(spec);
                 let retry = self.send(net, spec, None);
                 match self.classify(net, spec, retry) {
                     Classified::Done(outcome) => outcome,
                     Classified::GotToken(token) => {
-                        self.tokens.insert(self.cache_key(spec), token.clone());
+                        self.tokens.insert(spec, token.clone());
                         let resp = self.send(net, spec, Some(&token));
                         self.finish(resp)
                     }
@@ -535,40 +528,23 @@ impl RequesterClient {
         }
     }
 
-    fn cache_key(&self, spec: &AccessSpec) -> (String, String, String) {
-        (
-            spec.url.authority().to_owned(),
-            spec.url.path().to_owned(),
-            spec.action.clone(),
-        )
-    }
-
     fn send(&mut self, net: &dyn Transport, spec: &AccessSpec, bearer: Option<&str>) -> Response {
-        let label = self.label.clone();
-        let build = move || {
-            let mut req = Request::to_url(spec.method, spec.url.clone())
-                .with_header("x-requester", &label)
-                .with_body(spec.body.clone());
-            if let Some(token) = bearer {
-                req = req.with_bearer(token);
-            }
-            req
-        };
-        self.dispatch_retrying(net, build)
+        let req = access_request(&self.label, spec, bearer);
+        self.dispatch_retrying(net, req)
     }
 
-    /// Dispatches under the client's retry policy (if any). Only
-    /// transport failures are retried; application responses return
-    /// after the first attempt.
-    fn dispatch_retrying(&mut self, net: &dyn Transport, build: impl Fn() -> Request) -> Response {
-        match self.retry.clone() {
+    /// Dispatches under the client's retry policy (if any), cloning `req`
+    /// for each attempt. Only transport failures are retried; application
+    /// responses return after the first attempt.
+    fn dispatch_retrying(&mut self, net: &dyn Transport, req: Request) -> Response {
+        match &self.retry {
             Some(policy) => {
                 let (resp, report) =
-                    policy.run(net.clock(), |_| net.dispatch(&self.label, build()));
+                    policy.run(net.clock(), |_| net.dispatch(&self.label, req.clone()));
                 self.stats.retries += u64::from(report.attempts.saturating_sub(1));
                 resp
             }
-            None => net.dispatch(&self.label, build()),
+            None => net.dispatch(&self.label, req),
         }
     }
 
@@ -576,7 +552,7 @@ impl RequesterClient {
         match resp.status {
             Status::Found => match resp.location() {
                 Some(location) if location.path() == "/authorize" => {
-                    self.request_token(net, spec, &location)
+                    self.request_token(net, spec, location)
                 }
                 _ => Classified::Done(AccessOutcome::Failed(resp)),
             },
@@ -592,27 +568,29 @@ impl RequesterClient {
         &mut self,
         net: &dyn Transport,
         _spec: &AccessSpec,
-        authorize: &Url,
+        authorize: Url,
     ) -> Classified {
         self.stats.token_requests += 1;
         let am = authorize.authority().to_owned();
-        let mut url = authorize.clone();
+        let mut url = authorize;
         if let Some(subject) = &self.subject_token {
             url = url.with_query("subject_token", subject);
         }
         if !self.claim_tokens.is_empty() {
             url = url.with_query("claims", &self.claim_tokens.join(","));
         }
-        let mut resp = self.dispatch_retrying(net, || Request::to_url(Method::Get, url.clone()));
         // Multi-AM failover: when the primary's authorize endpoint is
         // unreachable at the transport level (after any retries), re-home
         // the authorize URL to the configured secondary AM and try there.
+        let rehomed = self
+            .fallback_ams
+            .get(&am)
+            .map(|secondary| rehome(&url, secondary));
+        let mut resp = self.dispatch_retrying(net, Request::to_url(Method::Get, url));
         if resp.transport_error().is_some() {
-            if let Some(secondary) = self.fallback_ams.get(&am).cloned() {
+            if let Some(rehomed) = rehomed {
                 self.stats.failovers += 1;
-                let rehomed = rehome(&url, &secondary);
-                resp =
-                    self.dispatch_retrying(net, || Request::to_url(Method::Get, rehomed.clone()));
+                resp = self.dispatch_retrying(net, Request::to_url(Method::Get, rehomed));
             }
         }
         match resp.status {
@@ -677,14 +655,13 @@ impl RequesterClient {
     ) -> AccessOutcome {
         self.stats.accesses += 1;
         let host = spec.url.authority().to_owned();
-        let cache_key = self.cache_key(spec);
-        if let Some(token) = self.tokens.get(&cache_key).cloned() {
+        if let Some(token) = self.tokens.get(spec).map(str::to_owned) {
             self.stats.cache_hits += 1;
             let resp = self.send(net, spec, Some(&token));
             if resp.status != Status::Unauthorized {
                 return self.finish(resp);
             }
-            self.tokens.remove(&cache_key);
+            self.tokens.remove(spec);
             self.stats.reauthorizations += 1;
         }
         let Some(discovered) = self.discover_am(net, &host, resource_id) else {
@@ -700,9 +677,9 @@ impl RequesterClient {
             .with_query("resource", resource_id)
             .with_query("action", &spec.action)
             .with_query("requester", &self.label);
-        match self.request_token(net, spec, &authorize) {
+        match self.request_token(net, spec, authorize) {
             Classified::GotToken(token) => {
-                self.tokens.insert(cache_key, token.clone());
+                self.tokens.insert(spec, token.clone());
                 let resp = self.send(net, spec, Some(&token));
                 self.finish(resp)
             }
@@ -746,6 +723,67 @@ pub struct Discovered {
     pub authorize: Url,
     /// The resource owner.
     pub owner: String,
+}
+
+/// The access request `spec` describes, sent as `label` and carrying
+/// `bearer` when a token is held.
+fn access_request(label: &str, spec: &AccessSpec, bearer: Option<&str>) -> Request {
+    let mut req = Request::to_url(spec.method, spec.url.clone())
+        .with_header("x-requester", label)
+        .with_body(spec.body.clone());
+    if let Some(token) = bearer {
+        req = req.with_bearer(token);
+    }
+    req
+}
+
+/// The requester's cached authorization tokens, keyed by (host, resource
+/// path, action). The key is flattened into one string, so a lookup
+/// writes it into a reused buffer instead of allocating a key.
+#[derive(Debug, Clone, Default)]
+struct TokenCache {
+    tokens: HashMap<String, String>,
+    key: String,
+}
+
+impl TokenCache {
+    /// Writes the key of `spec` into the buffer: host and path are
+    /// length-prefixed, so no two (host, path, action) triples collide.
+    fn write_key(&mut self, spec: &AccessSpec) {
+        let (host, path) = (spec.url.authority(), spec.url.path());
+        self.key.clear();
+        write!(
+            self.key,
+            "{}:{host}{}:{path}{}",
+            host.len(),
+            path.len(),
+            spec.action
+        )
+        .expect("writing to a String cannot fail");
+    }
+
+    fn get(&mut self, spec: &AccessSpec) -> Option<&str> {
+        self.write_key(spec);
+        self.tokens.get(self.key.as_str()).map(String::as_str)
+    }
+
+    fn insert(&mut self, spec: &AccessSpec, token: String) {
+        self.write_key(spec);
+        self.tokens.insert(self.key.clone(), token);
+    }
+
+    fn remove(&mut self, spec: &AccessSpec) {
+        self.write_key(spec);
+        self.tokens.remove(self.key.as_str());
+    }
+
+    fn clear(&mut self) {
+        self.tokens.clear();
+    }
+
+    fn len(&self) -> usize {
+        self.tokens.len()
+    }
 }
 
 /// Rebuilds `url` on a different authority, keeping path and query (used
@@ -868,9 +906,7 @@ mod tests {
         let mut client = RequesterClient::new("requester:test");
         let spec = AccessSpec::read(Url::new("host.example", "/protected"));
         // Pre-poison the cache.
-        client
-            .tokens
-            .insert(client.cache_key(&spec), "stale".to_owned());
+        client.tokens.insert(&spec, "stale".to_owned());
         let outcome = client.access(&net, &spec);
         assert!(outcome.is_granted());
         assert_eq!(client.stats().reauthorizations, 1);
@@ -903,7 +939,7 @@ mod tests {
         let spec = AccessSpec::read(Url::new("host.example", "/protected"));
         // Craft a redirect manually by calling the AM with resource=consent:
         let authorize = Url::new("am.example", "/authorize").with_query("resource", "consent");
-        let classified = client.request_token(&net, &spec, &authorize);
+        let classified = client.request_token(&net, &spec, authorize);
         let Classified::Done(AccessOutcome::PendingConsent { am, consent_id }) = classified else {
             panic!("expected pending consent");
         };
@@ -917,7 +953,7 @@ mod tests {
         let mut client = RequesterClient::new("requester:test");
         let spec = AccessSpec::read(Url::new("host.example", "/protected"));
         let authorize = Url::new("am.example", "/authorize").with_query("resource", "paid");
-        let classified = client.request_token(&net, &spec, &authorize);
+        let classified = client.request_token(&net, &spec, authorize);
         let Classified::Done(AccessOutcome::NeedsClaims(msg)) = classified else {
             panic!("expected claims requirement");
         };
@@ -946,7 +982,7 @@ mod tests {
         client.add_claim_token("claim-b");
         let spec = AccessSpec::read(Url::new("host.example", "/x"));
         let authorize = Url::new("am.example", "/authorize");
-        let Classified::GotToken(token) = client.request_token(&net, &spec, &authorize) else {
+        let Classified::GotToken(token) = client.request_token(&net, &spec, authorize) else {
             panic!("expected token");
         };
         assert_eq!(token, "assert-1/claim-a,claim-b");

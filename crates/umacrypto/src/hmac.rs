@@ -193,6 +193,29 @@ mod tests {
         }
     }
 
+    /// Push bodies are signed under the delegation's host token, a sealed
+    /// token of about 145 bytes. Preparing it costs ⌈(145+9)/64⌉ = 3
+    /// compressions to hash the over-long key plus 2 for the pads; a
+    /// delegation that holds an `HmacKey` pays that once, where the
+    /// one-shot `hmac_sha256` pays it on every push MAC.
+    #[test]
+    fn held_host_token_key_saves_five_compressions_per_mac() {
+        let host_token = [b'h'; 145];
+        let body = [0x5au8; 300];
+        let before = compressions();
+        let key = HmacKey::new(&host_token);
+        assert_eq!(compressions() - before, 5);
+
+        let before = compressions();
+        let held = key.mac(&body);
+        let held_cost = compressions() - before;
+        let before = compressions();
+        let one_shot = hmac_sha256(&host_token, &body);
+        let one_shot_cost = compressions() - before;
+        assert_eq!(held, one_shot);
+        assert_eq!(one_shot_cost - held_cost, 5);
+    }
+
     #[test]
     fn debug_redacts_midstates() {
         let key = HmacKey::new(b"supersecret");

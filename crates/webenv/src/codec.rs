@@ -33,7 +33,7 @@
 //! and the zero-allocation property of the fast path.
 
 use crate::http::{Method, Request, Response, Status};
-use crate::url::{decode_component, Url};
+use crate::url::{decode_component, encoded_len, is_unreserved, Url, HEX_DIGITS};
 
 /// Upper bound on one HTTP message (start line + headers + body). The
 /// protocol's largest real messages are epoch sieve pushes at a few
@@ -123,28 +123,15 @@ fn decimal_len(n: usize) -> usize {
 /// Appends `s` percent-encoded exactly like the shared [`Url`] escaper
 /// (unreserved bytes pass, everything else becomes `%XX`).
 fn push_encoded(out: &mut Vec<u8>, s: &str) {
-    const HEX: &[u8; 16] = b"0123456789ABCDEF";
     for b in s.bytes() {
-        match b {
-            b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~' => out.push(b),
-            _ => {
-                out.push(b'%');
-                out.push(HEX[usize::from(b >> 4)]);
-                out.push(HEX[usize::from(b & 0x0f)]);
-            }
+        if is_unreserved(b) {
+            out.push(b);
+        } else {
+            out.push(b'%');
+            out.push(HEX_DIGITS[usize::from(b >> 4)]);
+            out.push(HEX_DIGITS[usize::from(b & 0x0f)]);
         }
     }
-}
-
-/// Encoded length of a percent-encoded component (arithmetic twin of
-/// [`push_encoded`]).
-fn encoded_len(s: &str) -> usize {
-    s.bytes()
-        .map(|b| match b {
-            b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~' => 1,
-            _ => 3,
-        })
-        .sum()
 }
 
 /// Serializes a [`Request`] into one HTTP/1.1 message, appended to a
@@ -381,7 +368,7 @@ pub fn build_request(head: &Head<'_>, body: &[u8]) -> Result<(String, Request), 
     if let Some(qs) = query_str {
         for pair in qs.split('&').filter(|p| !p.is_empty()) {
             let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
-            url = url.with_query(&decode_component(k), &decode_component(v));
+            url.insert_query(decode_component(k), decode_component(v));
         }
     }
 

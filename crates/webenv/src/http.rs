@@ -280,8 +280,12 @@ impl Request {
 
     /// Sets the authorization header to `Bearer <token>`.
     #[must_use]
-    pub fn with_bearer(self, token: &str) -> Self {
-        self.with_header("authorization", &format!("Bearer {token}"))
+    pub fn with_bearer(mut self, token: &str) -> Self {
+        let mut value = String::with_capacity("Bearer ".len() + token.len());
+        value.push_str("Bearer ");
+        value.push_str(token);
+        self.headers.insert("authorization".to_owned(), value);
+        self
     }
 
     /// Sets the raw body.
@@ -333,7 +337,10 @@ impl Response {
     /// Creates a `302 Found` redirect to `location`.
     #[must_use]
     pub fn redirect(location: &Url) -> Self {
-        Response::with_status(Status::Found).with_header("location", &location.to_string())
+        let mut resp = Response::with_status(Status::Found);
+        resp.headers
+            .insert("location".to_owned(), location.to_sized_string());
+        resp
     }
 
     /// Creates a `404 Not Found` response with a short explanation.

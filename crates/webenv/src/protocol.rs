@@ -40,6 +40,10 @@
 //! use disjoint JSON field sets and distinct signing domain separators,
 //! so none can ever be parsed — or replayed — as another.
 
+use ucam_crypto::HmacKey;
+
+use crate::url::hex_value;
+
 /// Versioned single-decision route (Fig. 6, phase 5/6).
 pub const DECISION_PATH: &str = "/protection/v1/decision";
 /// Versioned batch-decision route: the body is a JSON array of
@@ -816,16 +820,16 @@ pub struct SieveBody {
 
 impl SieveBody {
     /// Assembles and signs a sieve with the shared delegation
-    /// `host_token` bytes.
+    /// `host_token`, prepared as an HMAC key.
     #[must_use]
-    pub fn build(owner: &str, epoch: u64, entries: Vec<SieveEntry>, key: &[u8]) -> Self {
+    pub fn build(owner: &str, epoch: u64, entries: Vec<SieveEntry>, key: &HmacKey) -> Self {
         let mut body = Self {
             owner: owner.to_owned(),
             epoch,
             entries,
             sig: String::new(),
         };
-        let mac = ucam_crypto::hmac_sha256(key, body.signing_payload().as_bytes());
+        let mac = key.mac(body.signing_payload().as_bytes());
         let mut sig = String::with_capacity(64);
         push_hex(&mut sig, &mac);
         body.sig = sig;
@@ -836,11 +840,11 @@ impl SieveBody {
     /// `host_token`. Constant-time comparison; any mismatch means the
     /// sieve must be discarded whole.
     #[must_use]
-    pub fn verify(&self, key: &[u8]) -> bool {
+    pub fn verify(&self, key: &HmacKey) -> bool {
         let Some(sig) = hex_decode::<32>(&self.sig) else {
             return false;
         };
-        let mac = ucam_crypto::hmac_sha256(key, self.signing_payload().as_bytes());
+        let mac = key.mac(self.signing_payload().as_bytes());
         ucam_crypto::ct_eq(&mac, &sig)
     }
 
@@ -986,7 +990,7 @@ pub struct SieveDeltaBody {
 
 impl SieveDeltaBody {
     /// Assembles and signs a delta with the shared delegation
-    /// `host_token` bytes.
+    /// `host_token`, prepared as an HMAC key.
     #[must_use]
     pub fn build(
         owner: &str,
@@ -994,7 +998,7 @@ impl SieveDeltaBody {
         base_epoch: u64,
         added: Vec<SieveEntry>,
         removed: Vec<SieveFingerprint>,
-        key: &[u8],
+        key: &HmacKey,
     ) -> Self {
         let mut body = Self {
             owner: owner.to_owned(),
@@ -1004,7 +1008,7 @@ impl SieveDeltaBody {
             removed,
             sig: String::new(),
         };
-        let mac = ucam_crypto::hmac_sha256(key, body.signing_payload().as_bytes());
+        let mac = key.mac(body.signing_payload().as_bytes());
         let mut sig = String::with_capacity(64);
         push_hex(&mut sig, &mac);
         body.sig = sig;
@@ -1014,11 +1018,11 @@ impl SieveDeltaBody {
     /// Verifies the signature against the Host's copy of the delegation
     /// `host_token`. Constant-time; any mismatch discards the delta whole.
     #[must_use]
-    pub fn verify(&self, key: &[u8]) -> bool {
+    pub fn verify(&self, key: &HmacKey) -> bool {
         let Some(sig) = hex_decode::<32>(&self.sig) else {
             return false;
         };
-        let mac = ucam_crypto::hmac_sha256(key, self.signing_payload().as_bytes());
+        let mac = key.mac(self.signing_payload().as_bytes());
         ucam_crypto::ct_eq(&mac, &sig)
     }
 
@@ -1198,16 +1202,21 @@ pub struct InvalidationBody {
 
 impl InvalidationBody {
     /// Assembles and signs an invalidation with the shared delegation
-    /// `host_token` bytes.
+    /// `host_token`, prepared as an HMAC key.
     #[must_use]
-    pub fn build(owner: &str, epoch: u64, invalidated: Vec<SieveFingerprint>, key: &[u8]) -> Self {
+    pub fn build(
+        owner: &str,
+        epoch: u64,
+        invalidated: Vec<SieveFingerprint>,
+        key: &HmacKey,
+    ) -> Self {
         let mut body = Self {
             owner: owner.to_owned(),
             epoch,
             invalidated,
             sig: String::new(),
         };
-        let mac = ucam_crypto::hmac_sha256(key, body.signing_payload().as_bytes());
+        let mac = key.mac(body.signing_payload().as_bytes());
         let mut sig = String::with_capacity(64);
         push_hex(&mut sig, &mac);
         body.sig = sig;
@@ -1217,11 +1226,11 @@ impl InvalidationBody {
     /// Verifies the signature against the Host's copy of the delegation
     /// `host_token`. Constant-time; any mismatch discards the body whole.
     #[must_use]
-    pub fn verify(&self, key: &[u8]) -> bool {
+    pub fn verify(&self, key: &HmacKey) -> bool {
         let Some(sig) = hex_decode::<32>(&self.sig) else {
             return false;
         };
-        let mac = ucam_crypto::hmac_sha256(key, self.signing_payload().as_bytes());
+        let mac = key.mac(self.signing_payload().as_bytes());
         ucam_crypto::ct_eq(&mac, &sig)
     }
 
@@ -1515,10 +1524,11 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, WireError> {
                         let hex = bytes
                             .get(*pos + 1..*pos + 5)
                             .ok_or_else(|| WireError::new("truncated \\u escape"))?;
-                        let hex = core::str::from_utf8(hex)
-                            .map_err(|_| WireError::new("invalid \\u escape"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| WireError::new("invalid \\u escape"))?;
+                        // Exactly four hex digits: no sign, no shorter form.
+                        let code = hex
+                            .iter()
+                            .try_fold(0u32, |code, &b| Some(code << 4 | u32::from(hex_value(b)?)))
+                            .ok_or_else(|| WireError::new("invalid \\u escape"))?;
                         // Surrogates are not paired here: the encoder never
                         // emits them and the protocol carries no astral
                         // escapes, so a lone surrogate is simply an error.
@@ -1623,6 +1633,22 @@ mod tests {
         );
         assert_eq!(DecisionBody::from_json(&json).unwrap(), body);
         assert!(body.is_permit());
+    }
+
+    #[test]
+    fn unicode_escapes_need_exactly_four_hex_digits() {
+        let deny = |escape: &str| {
+            DecisionBody::from_json(&format!(
+                "{{\"decision\":\"deny\",\"reason\":\"{escape}\"}}"
+            ))
+        };
+        assert_eq!(
+            deny("\\u0041\\u00e9").unwrap(),
+            DecisionBody::deny("A\u{e9}")
+        );
+        for malformed in ["\\u+041", "\\u-041", "\\u 041", "\\u04g1", "\\u041"] {
+            assert!(deny(malformed).is_err(), "{malformed} parsed");
+        }
     }
 
     #[test]
@@ -1772,7 +1798,26 @@ mod tests {
                 expires_at_ms: 45_000,
             },
         ];
-        SieveBody::build("bob", 7, entries, key)
+        SieveBody::build("bob", 7, entries, &HmacKey::new(key))
+    }
+
+    /// Push-body MACs are HMAC-SHA256 under the host token, pinned byte
+    /// for byte.
+    #[test]
+    fn push_body_macs_match_golden_values() {
+        let key = b"host-token-secret";
+        assert_eq!(
+            sample_sieve(key).sig,
+            "ec3ecc55a6b58ebaf5896f09630790c1a3b411845bb0c4bc811daa119c852118"
+        );
+        assert_eq!(
+            sample_delta(key).sig,
+            "5ba1fa14b61782a4f72870262aedb62b8cdc848fec591cbe559c12fb8304ecca"
+        );
+        assert_eq!(
+            sample_invalidation(key).sig,
+            "1c897080dc17e74f35c682f7912419579b4e4346c32e0ea3c8d93e15f2b6450d"
+        );
     }
 
     #[test]
@@ -1781,16 +1826,16 @@ mod tests {
         let json = body.to_json();
         let parsed = SieveBody::from_json(&json).unwrap();
         assert_eq!(parsed, body);
-        assert!(parsed.verify(b"host-token-secret"));
-        assert!(!parsed.verify(b"some-other-token"));
+        assert!(parsed.verify(&HmacKey::new(b"host-token-secret")));
+        assert!(!parsed.verify(&HmacKey::new(b"some-other-token")));
     }
 
     #[test]
     fn empty_sieve_is_legal_and_signed() {
-        let body = SieveBody::build("bob", 9, Vec::new(), b"k");
+        let body = SieveBody::build("bob", 9, Vec::new(), &HmacKey::new(b"k"));
         let parsed = SieveBody::from_json(&body.to_json()).unwrap();
         assert!(parsed.entries.is_empty());
-        assert!(parsed.verify(b"k"));
+        assert!(parsed.verify(&HmacKey::new(b"k")));
     }
 
     #[test]
@@ -1798,19 +1843,19 @@ mod tests {
         let key = b"host-token-secret";
         let mut bumped_epoch = sample_sieve(key);
         bumped_epoch.epoch += 1;
-        assert!(!bumped_epoch.verify(key));
+        assert!(!bumped_epoch.verify(&HmacKey::new(key)));
 
         let mut dropped_entry = sample_sieve(key);
         dropped_entry.entries.pop();
-        assert!(!dropped_entry.verify(key));
+        assert!(!dropped_entry.verify(&HmacKey::new(key)));
 
         let mut extended_expiry = sample_sieve(key);
         extended_expiry.entries[0].expires_at_ms += 1;
-        assert!(!extended_expiry.verify(key));
+        assert!(!extended_expiry.verify(&HmacKey::new(key)));
 
         let mut swapped_resource = sample_sieve(key);
         swapped_resource.entries[0].resource = "files/other.txt".into();
-        assert!(!swapped_resource.verify(key));
+        assert!(!swapped_resource.verify(&HmacKey::new(key)));
     }
 
     #[test]
@@ -1848,7 +1893,7 @@ mod tests {
                 "read",
                 "requester:app",
             )],
-            key,
+            &HmacKey::new(key),
         )
     }
 
@@ -1858,8 +1903,8 @@ mod tests {
         let delta = sample_delta(key);
         let parsed = SieveDeltaBody::from_json(&delta.to_json()).unwrap();
         assert_eq!(parsed, delta);
-        assert!(parsed.verify(key));
-        assert!(!parsed.verify(b"some-other-token"));
+        assert!(parsed.verify(&HmacKey::new(key)));
+        assert!(!parsed.verify(&HmacKey::new(b"some-other-token")));
     }
 
     #[test]
@@ -1867,15 +1912,15 @@ mod tests {
         let key = b"host-token-secret";
         let mut bumped_base = sample_delta(key);
         bumped_base.base_epoch += 1;
-        assert!(!bumped_base.verify(key));
+        assert!(!bumped_base.verify(&HmacKey::new(key)));
 
         let mut dropped_removal = sample_delta(key);
         dropped_removal.removed.pop();
-        assert!(!dropped_removal.verify(key));
+        assert!(!dropped_removal.verify(&HmacKey::new(key)));
 
         let mut extended_expiry = sample_delta(key);
         extended_expiry.added[0].expires_at_ms += 1;
-        assert!(!extended_expiry.verify(key));
+        assert!(!extended_expiry.verify(&HmacKey::new(key)));
     }
 
     #[test]
@@ -1894,7 +1939,7 @@ mod tests {
             entries: delta.added.clone(),
             sig: delta.sig.clone(),
         };
-        assert!(!grafted.verify(key));
+        assert!(!grafted.verify(&HmacKey::new(key)));
     }
 
     #[test]
@@ -1971,7 +2016,7 @@ mod tests {
                 sieve_fingerprint("tok-1", "files/a.txt", "read", "requester:app"),
                 sieve_fingerprint("tok-2", "files/b.txt", "write", "requester:app"),
             ],
-            key,
+            &HmacKey::new(key),
         )
     }
 
@@ -1981,16 +2026,16 @@ mod tests {
         let body = sample_invalidation(key);
         let parsed = InvalidationBody::from_json(&body.to_json()).unwrap();
         assert_eq!(parsed, body);
-        assert!(parsed.verify(key));
-        assert!(!parsed.verify(b"some-other-token"));
+        assert!(parsed.verify(&HmacKey::new(key)));
+        assert!(!parsed.verify(&HmacKey::new(b"some-other-token")));
     }
 
     #[test]
     fn empty_invalidation_is_legal_and_signed() {
-        let body = InvalidationBody::build("bob", 3, Vec::new(), b"k");
+        let body = InvalidationBody::build("bob", 3, Vec::new(), &HmacKey::new(b"k"));
         let parsed = InvalidationBody::from_json(&body.to_json()).unwrap();
         assert!(parsed.invalidated.is_empty());
-        assert!(parsed.verify(b"k"));
+        assert!(parsed.verify(&HmacKey::new(b"k")));
     }
 
     #[test]
@@ -1998,15 +2043,15 @@ mod tests {
         let key = b"host-token-secret";
         let mut bumped_epoch = sample_invalidation(key);
         bumped_epoch.epoch += 1;
-        assert!(!bumped_epoch.verify(key));
+        assert!(!bumped_epoch.verify(&HmacKey::new(key)));
 
         let mut dropped_fp = sample_invalidation(key);
         dropped_fp.invalidated.pop();
-        assert!(!dropped_fp.verify(key));
+        assert!(!dropped_fp.verify(&HmacKey::new(key)));
 
         let mut swapped_owner = sample_invalidation(key);
         swapped_owner.owner = "mallory".into();
-        assert!(!swapped_owner.verify(key));
+        assert!(!swapped_owner.verify(&HmacKey::new(key)));
     }
 
     #[test]
@@ -2045,7 +2090,7 @@ mod tests {
             removed: inval.invalidated.clone(),
             sig: inval.sig.clone(),
         };
-        assert!(!grafted.verify(key));
+        assert!(!grafted.verify(&HmacKey::new(key)));
     }
 
     #[test]

@@ -5,9 +5,13 @@
 //! parameters in the query string (e.g. the AM location a User supplies when
 //! delegating access control, §V.B.1).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::str::FromStr;
+
+/// The scheme of every constructed URL, shared rather than allocated.
+const HTTPS: &str = "https";
 
 /// A parsed URL: `scheme://authority/path?query`.
 ///
@@ -27,7 +31,7 @@ use std::str::FromStr;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Url {
-    scheme: String,
+    scheme: Cow<'static, str>,
     authority: String,
     path: String,
     query: BTreeMap<String, String>,
@@ -43,7 +47,7 @@ impl Url {
     pub fn new(authority: &str, path: &str) -> Self {
         assert!(path.starts_with('/'), "path must be absolute: {path}");
         Url {
-            scheme: "https".to_owned(),
+            scheme: Cow::Borrowed(HTTPS),
             authority: authority.to_owned(),
             path: path.to_owned(),
             query: BTreeMap::new(),
@@ -123,48 +127,126 @@ impl Url {
     /// ```
     #[must_use]
     pub fn path_and_query(&self) -> String {
-        let mut out = self.path.clone();
-        let mut sep = '?';
-        for (k, v) in &self.query {
-            out.push(sep);
-            out.push_str(&encode_component(k));
-            out.push('=');
-            out.push_str(&encode_component(v));
-            sep = '&';
-        }
+        let mut out = String::with_capacity(self.path.len() + self.query_len());
+        out.push_str(&self.path);
+        self.write_query(&mut out)
+            .expect("writing to a String cannot fail");
         out
     }
-}
 
-/// Percent-encodes a query component (space, `&`, `=`, `%`, `?`, `#`, `/`
-/// and non-ASCII bytes). Shared with the HTTP/1.1 codec, which uses the
-/// same escaping for form pairs on the wire.
-pub(crate) fn encode_component(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for b in s.bytes() {
-        match b {
-            b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~' => {
-                out.push(b as char);
-            }
-            _ => out.push_str(&format!("%{b:02X}")),
-        }
+    /// Formats the URL into a `String` sized exactly for it, so the
+    /// buffer never grows while it is written.
+    pub(crate) fn to_sized_string(&self) -> String {
+        let len = self.scheme.len() + 3 + self.authority.len() + self.path.len() + self.query_len();
+        let mut out = String::with_capacity(len);
+        write!(out, "{self}").expect("writing to a String cannot fail");
+        out
     }
-    out
+
+    /// Sets a query parameter from an already-owned pair.
+    pub(crate) fn insert_query(&mut self, key: String, value: String) {
+        self.query.insert(key, value);
+    }
+
+    /// Encoded length of the query string, `?` and `&` separators included.
+    fn query_len(&self) -> usize {
+        self.query
+            .iter()
+            .map(|(k, v)| 2 + encoded_len(k) + encoded_len(v))
+            .sum()
+    }
+
+    /// Writes `?k=v&k=v…` percent-encoded; nothing for an empty query.
+    fn write_query(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        let mut sep = '?';
+        for (k, v) in &self.query {
+            write!(out, "{sep}{}={}", Encoded(k), Encoded(v))?;
+            sep = '&';
+        }
+        Ok(())
+    }
 }
 
-/// Decodes percent-encoding; invalid escapes are passed through literally.
+/// Upper-case hex digits of the percent escapes.
+pub(crate) const HEX_DIGITS: &[u8; 16] = b"0123456789ABCDEF";
+
+/// Whether a byte passes through percent-encoding unescaped (the RFC 3986
+/// unreserved set). Everything else — space, `&`, `=`, `%`, `?`, `#`, `/`
+/// and every non-ASCII byte — becomes `%XX`. Shared with the HTTP/1.1
+/// codec, which uses the same escaping for form pairs on the wire.
+pub(crate) fn is_unreserved(b: u8) -> bool {
+    matches!(b, b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~')
+}
+
+/// Length of `s` once percent-encoded.
+pub(crate) fn encoded_len(s: &str) -> usize {
+    s.bytes()
+        .map(|b| if is_unreserved(b) { 1 } else { 3 })
+        .sum()
+}
+
+/// Displays a query component percent-encoded, without allocating.
+struct Encoded<'a>(&'a str);
+
+impl fmt::Display for Encoded<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Encoded output is ASCII; stage it in a stack buffer and hand the
+        // formatter whole chunks rather than one call per byte.
+        let mut buf = [0u8; 96];
+        let mut n = 0;
+        for b in self.0.bytes() {
+            if n + 3 > buf.len() {
+                f.write_str(ascii(&buf[..n]))?;
+                n = 0;
+            }
+            if is_unreserved(b) {
+                buf[n] = b;
+                n += 1;
+            } else {
+                buf[n..n + 3].copy_from_slice(&[
+                    b'%',
+                    HEX_DIGITS[usize::from(b >> 4)],
+                    HEX_DIGITS[usize::from(b & 0x0f)],
+                ]);
+                n += 3;
+            }
+        }
+        f.write_str(ascii(&buf[..n]))
+    }
+}
+
+fn ascii(bytes: &[u8]) -> &str {
+    std::str::from_utf8(bytes).expect("percent-encoded output is ASCII")
+}
+
+/// The value of one ASCII hex digit. Unlike `u8::from_str_radix`, a sign
+/// is not a digit, so `%+F` is not an escape.
+pub(crate) fn hex_value(b: u8) -> Option<u8> {
+    match b {
+        b'0'..=b'9' => Some(b - b'0'),
+        b'a'..=b'f' => Some(b - b'a' + 10),
+        b'A'..=b'F' => Some(b - b'A' + 10),
+        _ => None,
+    }
+}
+
+/// Decodes percent-encoding; an escape is `%` plus exactly two ASCII hex
+/// digits, and anything else is passed through literally. Bytes that do
+/// not form UTF-8 decode to U+FFFD.
 pub(crate) fn decode_component(s: &str) -> String {
+    if !s.contains('%') {
+        return s.to_owned();
+    }
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
     while i < bytes.len() {
         if bytes[i] == b'%' {
-            if let Some(hex) = bytes
-                .get(i + 1..i + 3)
-                .and_then(|h| std::str::from_utf8(h).ok())
-                .and_then(|h| u8::from_str_radix(h, 16).ok())
-            {
-                out.push(hex);
+            if let (Some(hi), Some(lo)) = (
+                bytes.get(i + 1).copied().and_then(hex_value),
+                bytes.get(i + 2).copied().and_then(hex_value),
+            ) {
+                out.push(hi << 4 | lo);
                 i += 3;
                 continue;
             }
@@ -172,18 +254,13 @@ pub(crate) fn decode_component(s: &str) -> String {
         out.push(bytes[i]);
         i += 1;
     }
-    String::from_utf8_lossy(&out).into_owned()
+    String::from_utf8(out).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
 impl fmt::Display for Url {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}://{}{}", self.scheme, self.authority, self.path)?;
-        let mut sep = '?';
-        for (k, v) in &self.query {
-            write!(f, "{sep}{}={}", encode_component(k), encode_component(v))?;
-            sep = '&';
-        }
-        Ok(())
+        self.write_query(f)
     }
 }
 
@@ -216,9 +293,9 @@ impl FromStr for Url {
             Some((a, q)) => (a, Some(q)),
             None => (rest, None),
         };
-        let (authority, path) = match authority_path.split_once('/') {
-            Some((a, p)) => (a, format!("/{p}")),
-            None => (authority_path, "/".to_owned()),
+        let (authority, path) = match authority_path.find('/') {
+            Some(slash) => (&authority_path[..slash], &authority_path[slash..]),
+            None => (authority_path, "/"),
         };
         if authority.is_empty() {
             return Err(ParseUrlError::EmptyAuthority);
@@ -231,9 +308,13 @@ impl FromStr for Url {
             }
         }
         Ok(Url {
-            scheme: scheme.to_owned(),
+            scheme: if scheme == HTTPS {
+                Cow::Borrowed(HTTPS)
+            } else {
+                Cow::Owned(scheme.to_owned())
+            },
             authority: authority.to_owned(),
-            path,
+            path: path.to_owned(),
             query,
         })
     }
@@ -319,7 +400,59 @@ mod tests {
         assert_eq!(back.query("q"), Some("a&b=c?d#e f"));
     }
 
+    #[test]
+    fn malformed_percent_escapes_pass_through() {
+        assert_eq!(decode_component("%41%2f%2F"), "A//");
+        for literal in ["%+F", "%-1", "% 1", "%G1", "%4", "%", "100%"] {
+            assert_eq!(decode_component(literal), literal);
+        }
+        // An escape that decodes to invalid UTF-8 becomes U+FFFD.
+        assert_eq!(decode_component("a%FFb"), "a\u{fffd}b");
+    }
+
+    /// The decoder as it was before escapes required two hex digits: the
+    /// oracle of `decode_matches_the_radix_decoder`.
+    fn decode_with_from_str_radix(s: &str) -> String {
+        let bytes = s.as_bytes();
+        let mut out = Vec::with_capacity(bytes.len());
+        let mut i = 0;
+        while i < bytes.len() {
+            if bytes[i] == b'%' {
+                if let Some(hex) = bytes
+                    .get(i + 1..i + 3)
+                    .and_then(|h| std::str::from_utf8(h).ok())
+                    .and_then(|h| u8::from_str_radix(h, 16).ok())
+                {
+                    out.push(hex);
+                    i += 3;
+                    continue;
+                }
+            }
+            out.push(bytes[i]);
+            i += 1;
+        }
+        String::from_utf8_lossy(&out).into_owned()
+    }
+
     proptest! {
+        /// The same output as the `from_str_radix` decoder on escape-heavy
+        /// input, escapes of invalid UTF-8 included, except where that
+        /// decoder took a `+` for a hex digit.
+        #[test]
+        fn decode_matches_the_radix_decoder(s in "[%%%%+a-fA-F0-9éG/ ]{0,24}") {
+            if !s.contains("%+") {
+                prop_assert_eq!(decode_component(&s), decode_with_from_str_radix(&s));
+            }
+        }
+
+        #[test]
+        fn encode_then_decode_roundtrips(s in "[\\PC&&[^\\u{0}]]{0,32}") {
+            let encoded = Encoded(&s).to_string();
+            prop_assert_eq!(encoded.len(), encoded_len(&s));
+            prop_assert!(encoded.bytes().all(|b| is_unreserved(b) || b == b'%'));
+            prop_assert_eq!(decode_component(&encoded), s);
+        }
+
         #[test]
         fn query_roundtrip(
             key in "[a-zA-Z0-9 &=%?#/_.:-]{1,20}",

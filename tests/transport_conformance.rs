@@ -425,8 +425,12 @@ fn sieve_install_and_reject_are_transport_agnostic() {
         ));
         // A foreign sieve — well-formed but signed under a key the host
         // never shared — is dropped fail-closed over the wire.
-        let forged =
-            ucam::webenv::protocol::SieveBody::build("bob", 2, Vec::new(), b"not-the-host-token");
+        let forged = ucam::webenv::protocol::SieveBody::build(
+            "bob",
+            2,
+            Vec::new(),
+            &ucam::crypto::HmacKey::new(b"not-the-host-token"),
+        );
         let resp = world.net.dispatch(
             AM,
             Request::new(
@@ -1166,8 +1170,12 @@ fn malformed_v2_bodies_fail_closed_identically() {
         // the Host never shared — must be dropped fail-closed while the
         // plain epoch note it rides still applies (the owner-wide purge
         // keeps the push sound even when the surgical list is rejected).
-        let forged =
-            protocol::InvalidationBody::build("bob", 99, Vec::new(), b"not-the-host-token");
+        let forged = protocol::InvalidationBody::build(
+            "bob",
+            99,
+            Vec::new(),
+            &ucam::crypto::HmacKey::new(b"not-the-host-token"),
+        );
         let resp = rig.net.dispatch(
             "am-a.example",
             Request::new(
