@@ -1880,7 +1880,7 @@ impl WebApp for AuthorizationManager {
                 } else {
                     self.v1_decision_hits.fetch_add(1, Ordering::Relaxed);
                 }
-                let resp = self.web_decision(req);
+                let resp = self.web_decision(req, false);
                 // Lazy label: while tracing is off (every hot loop) this
                 // is one atomic load and no formatting.
                 net.trace().note_with(&self.authority, || {
@@ -1916,7 +1916,7 @@ impl WebApp for AuthorizationManager {
             // batch authorize, and dynamic registration.
             protocol::DECISION_V2_PATH => {
                 self.v2_decision_hits.fetch_add(1, Ordering::Relaxed);
-                self.web_decision_v2(req)
+                self.web_decision(req, true)
             }
             protocol::BATCH_AUTHORIZE_PATH => self.web_authorize_batch(req),
             protocol::REGISTER_PATH => self.web_register(req),
@@ -2131,7 +2131,25 @@ impl AuthorizationManager {
         }
     }
 
-    fn web_decision(&self, req: &Request) -> Response {
+    /// Handles a single decision query: `/protection/v1/decision` (and
+    /// its legacy alias) with `conditional` off, `/protection/v2/decision`
+    /// with it on. v2 adds an optional `if_epoch` parameter carrying the
+    /// epoch the Host's cached entry was stamped with; v1 ignores it. The
+    /// decision is evaluated in full either way (audit records and use
+    /// counts must not drift between v1 and v2); only the
+    /// *serialization* is conditional — a permit whose epoch still
+    /// matches collapses to the compact [`protocol::UnchangedBody`]
+    /// instead of re-shipping the verdict.
+    fn web_decision(&self, req: &Request, conditional: bool) -> Response {
+        let if_epoch = match req.param("if_epoch").filter(|_| conditional) {
+            None => None,
+            // Fail closed: an unparseable epoch is a malformed request,
+            // not an unconditional one.
+            Some(raw) => match raw.parse::<u64>() {
+                Ok(epoch) => Some(epoch),
+                Err(_) => return Response::bad_request("if_epoch must be an unsigned integer"),
+            },
+        };
         let query = match (
             req.param("host_token"),
             req.param("token"),
@@ -2148,6 +2166,12 @@ impl AuthorizationManager {
             _ => return Response::bad_request("host_token, token, resource, requester required"),
         };
         match self.decide(&query) {
+            Ok(Decision::Permit {
+                cacheable_ms,
+                policy_epoch,
+            }) if if_epoch == Some(policy_epoch) => {
+                Response::ok().with_body(protocol::UnchangedBody { cacheable_ms }.to_json())
+            }
             Ok(decision) => Response::ok().with_body(decision_wire(&decision).to_json()),
             Err(e) => Response::with_status(Status::Unauthorized).with_body(e.to_string()),
         }
@@ -2186,50 +2210,6 @@ impl AuthorizationManager {
             })
             .collect();
         Response::ok().with_body(protocol::encode_batch_response(&bodies))
-    }
-
-    /// Handles `/protection/v2/decision`: the v1 decision query plus an
-    /// optional `if_epoch` parameter carrying the epoch the Host's cached
-    /// entry was stamped with. The decision is evaluated in full either
-    /// way (audit records and use counts must not drift between v1 and
-    /// v2); only the *serialization* is conditional — a permit whose
-    /// epoch still matches collapses to the compact
-    /// [`protocol::UnchangedBody`] instead of re-shipping the verdict.
-    fn web_decision_v2(&self, req: &Request) -> Response {
-        let if_epoch = match req.param("if_epoch") {
-            None => None,
-            // Fail closed: an unparseable epoch is a malformed request,
-            // not an unconditional one.
-            Some(raw) => match raw.parse::<u64>() {
-                Ok(epoch) => Some(epoch),
-                Err(_) => return Response::bad_request("if_epoch must be an unsigned integer"),
-            },
-        };
-        let query = match (
-            req.param("host_token"),
-            req.param("token"),
-            req.param("resource"),
-            req.param("requester"),
-        ) {
-            (Some(ht), Some(t), Some(r), Some(rq)) => DecisionQuery {
-                host_token: ht.to_owned(),
-                authz_token: t.to_owned(),
-                resource_id: r.to_owned(),
-                action: parse_action(req.param("action")),
-                requester: rq.to_owned(),
-            },
-            _ => return Response::bad_request("host_token, token, resource, requester required"),
-        };
-        match self.decide(&query) {
-            Ok(Decision::Permit {
-                cacheable_ms,
-                policy_epoch,
-            }) if if_epoch == Some(policy_epoch) => {
-                Response::ok().with_body(protocol::UnchangedBody { cacheable_ms }.to_json())
-            }
-            Ok(decision) => Response::ok().with_body(decision_wire(&decision).to_json()),
-            Err(e) => Response::with_status(Status::Unauthorized).with_body(e.to_string()),
-        }
     }
 
     /// Handles `/protection/v2/authorize`: the requester-side sibling of

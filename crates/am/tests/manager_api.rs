@@ -1028,6 +1028,42 @@ fn v2_conditional_decision_collapses_to_unchanged() {
 }
 
 #[test]
+fn v1_decision_ignores_if_epoch() {
+    // v1 and v2 share one decision handler; the `if_epoch` precondition is
+    // a v2 feature. A v1 query that carries one anyway must still get the
+    // full verdict, byte for byte, while the same query on v2 collapses.
+    use ucam_webenv::protocol::{UnchangedBody, DECISION_PATH, DECISION_V2_PATH};
+    let (net, am, host_token) = web_setup();
+    let token = issue_token(&net, &am);
+    let epoch = am.policy_epoch("bob").to_string();
+    let base: Vec<(&str, &str)> = vec![
+        ("host_token", host_token.as_str()),
+        ("token", token.as_str()),
+        ("resource", PHOTO),
+        ("action", "read"),
+        ("requester", "requester:editor"),
+    ];
+    let (status, full) = decision_at(&net, DECISION_PATH, &base);
+    assert_eq!(status, Status::Ok);
+    assert!(full.contains("\"permit\""), "{full}");
+
+    for if_epoch in [epoch.as_str(), "not-a-number"] {
+        let mut cond = base.clone();
+        cond.push(("if_epoch", if_epoch));
+        assert_eq!(
+            decision_at(&net, DECISION_PATH, &cond),
+            (Status::Ok, full.clone()),
+            "v1 must ignore if_epoch={if_epoch}"
+        );
+    }
+    let mut cond = base.clone();
+    cond.push(("if_epoch", epoch.as_str()));
+    let (status, body) = decision_at(&net, DECISION_V2_PATH, &cond);
+    assert_eq!(status, Status::Ok);
+    UnchangedBody::from_json(&body).expect("v2 still collapses to unchanged");
+}
+
+#[test]
 fn v2_conditional_decision_bumps_use_counts_like_v1() {
     // The conditional path answers from a full evaluation — a use-limited
     // policy must exhaust at the same rate whether replies collapse or not.

@@ -213,11 +213,11 @@ impl ResilienceConfig {
 }
 
 /// Batching configuration for Host→AM decision queries (the
-/// `/protection/v1/decisions` channel), applied with
-/// [`HostCore::set_decision_batching`].
+/// `/protection/v1/decisions` channel), passed to each
+/// [`HostCore::enforce_batch`] round.
 ///
-/// Cache-miss queries collected by one [`HostCore::enforce_batch`] call
-/// are grouped per (AM, host token, owner) and flushed in two ways:
+/// Cache-miss queries collected by one round are grouped per (AM, host
+/// token, owner) and flushed in two ways:
 ///
 /// * **flush-on-size** — every `max_batch` queries fill a batch request
 ///   and go out immediately;
@@ -440,7 +440,7 @@ impl DecisionCache {
     /// may be epoch-stale. The rest of the time it would be a full pass
     /// under the write lock that removes nothing.
     fn insert(&mut self, key: CacheKey, entry: CachedDecision, now: u64) {
-        if !self.enabled || self.capacity == 0 {
+        if !self.enabled {
             return;
         }
         if self.epoch_stale || self.next_death_ms <= now {
@@ -1079,6 +1079,25 @@ impl SieveSnapshot {
         }
     }
 
+    /// Adds one vetted entry of `owner`'s. An entry already present only
+    /// moves its deadline; the indexes already know its fingerprint.
+    fn add(&mut self, owner: &str, entry: &protocol::SieveEntry) {
+        if self
+            .entries
+            .insert(entry.fingerprint, entry.expires_at_ms)
+            .is_none()
+        {
+            self.owner_index
+                .entry(owner.to_owned())
+                .or_default()
+                .push(entry.fingerprint);
+            self.resource_index
+                .entry(entry.resource.clone())
+                .or_default()
+                .push(entry.fingerprint);
+        }
+    }
+
     /// Drops a specific fingerprint set (a delta's `removed` list).
     /// Removal only narrows access, so no ownership check is needed —
     /// the worst a bad list can do is force extra tier-2 round trips.
@@ -1202,9 +1221,6 @@ pub struct HostCore {
     /// Opt-in Host→AM resilience knobs (DESIGN.md §10). Read-mostly:
     /// taken once per decision query, never on the warm cache path.
     resilience: RwLock<ResilienceConfig>,
-    /// Opt-in decision-query batching (`None` = off, the seed behaviour:
-    /// one round trip per cache miss).
-    batching: RwLock<Option<BatchConfig>>,
     /// Per-AM circuit state; only touched when a breaker is configured.
     breaker_states: Mutex<HashMap<String, BreakerState>>,
     /// High-water mark of staleness (ms past expiry) ever served by
@@ -1249,7 +1265,6 @@ impl HostCore {
             log: Mutex::new(Vec::new()),
             stats: AtomicPepStats::default(),
             resilience: RwLock::new(ResilienceConfig::default()),
-            batching: RwLock::new(None),
             breaker_states: Mutex::new(HashMap::new()),
             max_served_staleness_ms: AtomicU64::new(0),
             sieve: Mutex::new(Arc::new(SieveSnapshot::default())),
@@ -1271,18 +1286,6 @@ impl HostCore {
         cache.enabled = enabled;
         if !enabled {
             cache.clear();
-        }
-    }
-
-    /// Bounds the number of cached decisions (default
-    /// [`DEFAULT_DECISION_CACHE_CAPACITY`]); 0 disables caching outright.
-    pub fn set_decision_cache_capacity(&self, capacity: usize) {
-        let mut cache = self.cache.write();
-        cache.capacity = capacity;
-        let now = self.clock.now_ms();
-        cache.sweep_dead(now);
-        while cache.entries.len() > cache.capacity {
-            cache.evict_one();
         }
     }
 
@@ -1480,67 +1483,57 @@ impl HostCore {
         }
     }
 
+    /// The trust check every pushed sieve body and delta passes,
+    /// fail-closed on any doubt. `verify` must accept the body under the
+    /// push key of the user-level delegation this Host holds for `owner`
+    /// — the shared secret from the delegation handshake, which only the
+    /// real AM knows. Every entry's resource must exist here, belong to
+    /// `owner`, and be governed by that same delegation (a per-resource
+    /// override on a different host token means the signer does not
+    /// speak for it), and the entry must not have expired. One bad entry
+    /// poisons the whole body: a well-behaved AM never compiles one, so
+    /// it is either corruption or forgery.
+    fn sieve_push_trusted(
+        &self,
+        owner: &str,
+        verify: impl FnOnce(&HmacKey) -> bool,
+        entries: &[protocol::SieveEntry],
+    ) -> bool {
+        let now = self.clock.now_ms();
+        let state = self.state.read();
+        let Some(held) = state.user_delegations.get(owner) else {
+            return false;
+        };
+        verify(&held.push_key)
+            && entries.iter().all(|entry| {
+                state
+                    .resources
+                    .get(&entry.resource)
+                    .is_some_and(|r| r.owner == owner)
+                    && state
+                        .resource_delegations
+                        .get(&entry.resource)
+                        .is_none_or(|over| over.host_token == held.host_token)
+                    && entry.expires_at_ms > now
+            })
+    }
+
     /// Installs a pushed capability sieve, fail-closed on any doubt.
     /// Returns `true` iff the sieve was installed.
     ///
-    /// Trust chain: the body must verify under the `host_token` of the
-    /// delegation this Host itself holds for the claimed owner — the
-    /// shared secret from the delegation handshake, which only the real
-    /// AM knows. Per entry, the resource must exist here, belong to the
-    /// owner, and be governed by that same delegation (a per-resource
-    /// override pointing at a different AM means the signer does not
-    /// speak for it). The body's epoch must be no older than the freshest
-    /// epoch this Host has seen for the owner from *either* tier, so a
-    /// delayed push can never resurrect revoked permits.
+    /// The body and every entry must pass
+    /// [`HostCore::sieve_push_trusted`]. The body's epoch must be no older
+    /// than the freshest epoch this Host has seen for the owner from
+    /// *either* tier, so a delayed push can never resurrect revoked
+    /// permits.
     pub fn install_sieve(&self, sieve: &protocol::SieveBody) -> bool {
-        let now = self.clock.now_ms();
-        let accepted: Option<Vec<&protocol::SieveEntry>> = {
-            let state = self.state.read();
-            match state.user_delegations.get(&sieve.owner) {
-                Some(config) if sieve.verify(&config.push_key) => {
-                    let mut entries = Vec::with_capacity(sieve.entries.len());
-                    let mut all_valid = true;
-                    for entry in &sieve.entries {
-                        let resource_ok = state
-                            .resources
-                            .get(&entry.resource)
-                            .is_some_and(|r| r.owner == sieve.owner);
-                        let delegation_ok = match state.resource_delegations.get(&entry.resource) {
-                            // A per-resource override must still point at
-                            // the same shared secret the body verified
-                            // under; otherwise the signer doesn't govern
-                            // this resource.
-                            Some(over) => over.host_token == config.host_token,
-                            None => true,
-                        };
-                        if resource_ok && delegation_ok && entry.expires_at_ms > now {
-                            entries.push(entry);
-                        } else {
-                            // One bad entry poisons the whole body: a
-                            // well-behaved AM never compiles one, so this
-                            // is either corruption or forgery.
-                            all_valid = false;
-                            break;
-                        }
-                    }
-                    all_valid.then_some(entries)
-                }
-                _ => None,
-            }
-        };
-        let Some(accepted) = accepted else {
+        if !self.sieve_push_trusted(&sieve.owner, |key| sieve.verify(key), &sieve.entries) {
             self.stats.sieve_rejects.fetch_add(1, Ordering::Relaxed);
             return false;
-        };
+        }
         // Epoch floor: freshest epoch known from the decision cache or a
         // previously installed sieve.
-        let cache_epoch = self
-            .cache
-            .read()
-            .owner_epochs
-            .get(&sieve.owner)
-            .copied()
-            .unwrap_or(0);
+        let cache_epoch = self.cache.read().epoch_floor(&sieve.owner);
         let installed = {
             let mut slot = self.sieve.lock();
             let floor = slot
@@ -1554,16 +1547,8 @@ impl HostCore {
             } else {
                 let mut next = (**slot).clone();
                 next.purge_owner(&sieve.owner);
-                for entry in accepted {
-                    next.entries.insert(entry.fingerprint, entry.expires_at_ms);
-                    next.owner_index
-                        .entry(sieve.owner.clone())
-                        .or_default()
-                        .push(entry.fingerprint);
-                    next.resource_index
-                        .entry(entry.resource.clone())
-                        .or_default()
-                        .push(entry.fingerprint);
+                for entry in &sieve.entries {
+                    next.add(&sieve.owner, entry);
                 }
                 next.owner_epochs.insert(sieve.owner.clone(), sieve.epoch);
                 *slot = Arc::new(next);
@@ -1593,45 +1578,11 @@ impl HostCore {
     /// full-body resync. Removals need no ownership proof: dropping an
     /// entry can only narrow access.
     pub fn install_sieve_delta(&self, delta: &protocol::SieveDeltaBody) -> SieveDeltaOutcome {
-        let now = self.clock.now_ms();
-        let accepted: Option<Vec<&protocol::SieveEntry>> = {
-            let state = self.state.read();
-            match state.user_delegations.get(&delta.owner) {
-                Some(config) if delta.verify(&config.push_key) => {
-                    let mut entries = Vec::with_capacity(delta.added.len());
-                    let mut all_valid = true;
-                    for entry in &delta.added {
-                        let resource_ok = state
-                            .resources
-                            .get(&entry.resource)
-                            .is_some_and(|r| r.owner == delta.owner);
-                        let delegation_ok = match state.resource_delegations.get(&entry.resource) {
-                            Some(over) => over.host_token == config.host_token,
-                            None => true,
-                        };
-                        if resource_ok && delegation_ok && entry.expires_at_ms > now {
-                            entries.push(entry);
-                        } else {
-                            all_valid = false;
-                            break;
-                        }
-                    }
-                    all_valid.then_some(entries)
-                }
-                _ => None,
-            }
-        };
-        let Some(accepted) = accepted else {
+        if !self.sieve_push_trusted(&delta.owner, |key| delta.verify(key), &delta.added) {
             self.stats.sieve_rejects.fetch_add(1, Ordering::Relaxed);
             return SieveDeltaOutcome::Rejected;
-        };
-        let cache_epoch = self
-            .cache
-            .read()
-            .owner_epochs
-            .get(&delta.owner)
-            .copied()
-            .unwrap_or(0);
+        }
+        let cache_epoch = self.cache.read().epoch_floor(&delta.owner);
         let outcome = {
             let mut slot = self.sieve.lock();
             let base = slot.owner_epochs.get(&delta.owner).copied();
@@ -1645,24 +1596,8 @@ impl HostCore {
             } else {
                 let mut next = (**slot).clone();
                 next.remove_fingerprints(&delta.removed);
-                for entry in accepted {
-                    // `insert` returning a prior expiry means the entry
-                    // only moved its deadline; the indexes already know
-                    // the fingerprint.
-                    if next
-                        .entries
-                        .insert(entry.fingerprint, entry.expires_at_ms)
-                        .is_none()
-                    {
-                        next.owner_index
-                            .entry(delta.owner.clone())
-                            .or_default()
-                            .push(entry.fingerprint);
-                        next.resource_index
-                            .entry(entry.resource.clone())
-                            .or_default()
-                            .push(entry.fingerprint);
-                    }
+                for entry in &delta.added {
+                    next.add(&delta.owner, entry);
                 }
                 next.owner_epochs.insert(delta.owner.clone(), delta.epoch);
                 *slot = Arc::new(next);
@@ -1670,17 +1605,13 @@ impl HostCore {
                 SieveDeltaOutcome::Installed
             }
         };
-        match outcome {
-            SieveDeltaOutcome::Installed => {
-                self.cache.write().note_epoch(&delta.owner, delta.epoch);
-                self.stats
-                    .sieve_delta_installs
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            SieveDeltaOutcome::BaseMismatch => {
-                self.stats.sieve_resyncs.fetch_add(1, Ordering::Relaxed);
-            }
-            SieveDeltaOutcome::Rejected => {}
+        if outcome == SieveDeltaOutcome::Installed {
+            self.cache.write().note_epoch(&delta.owner, delta.epoch);
+            self.stats
+                .sieve_delta_installs
+                .fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.stats.sieve_resyncs.fetch_add(1, Ordering::Relaxed);
         }
         outcome
     }
@@ -1742,15 +1673,6 @@ impl HostCore {
     #[must_use]
     pub fn resilience(&self) -> ResilienceConfig {
         self.resilience.read().clone()
-    }
-
-    /// Enables (or disables, with `None`) decision-query batching for
-    /// [`HostCore::enforce_batch`] rounds. Off by default — and
-    /// [`HostCore::enforce`] always takes the single-query path, so
-    /// per-request latency is unchanged whenever batching is off or a
-    /// round holds a single miss.
-    pub fn set_decision_batching(&self, config: Option<BatchConfig>) {
-        *self.batching.write() = config;
     }
 
     /// The maximum staleness (ms past TTL expiry) degraded mode has ever
@@ -1954,6 +1876,13 @@ impl HostCore {
     }
 
     // -- the PEP ---------------------------------------------------------------
+    //
+    // One pipeline serves single and batched enforcement. `probe` settles
+    // what the Host can decide alone; what is left is a pending query,
+    // flushed as one `/decision` query (`query_decision`) or in
+    // `/decisions` batches (`flush_batches`); `failover` retries a
+    // transport failure at the fallback AM; `settle_decision` turns every
+    // answer into a verdict.
 
     /// Enforces access control for one request against `resource_id`.
     ///
@@ -1976,215 +1905,79 @@ impl HostCore {
         return_url: &Url,
     ) -> Enforcement {
         let now = self.clock.now_ms();
-        // Tier-1 (DESIGN.md §12): an AM-pushed sieve entry for exactly
-        // this (token, resource, action, requester) grants before any
-        // lock is taken. Entries only exist for resources that were
-        // present and delegated at install time, and every mutation that
-        // could invalidate them (deletion, re-delegation, epoch advance)
-        // purges, so a hit is as trustworthy as a decision-cache hit.
-        if let Some(token) = bearer {
-            if self.sieve_probe(net, requester, resource_id, action, token, now) {
-                return Enforcement::Grant;
-            }
-        }
-        let state = self.state.read();
-        let Some(resource) = state.resources.get(resource_id) else {
-            return Enforcement::Block(Response::not_found(resource_id));
-        };
-
-        // The owner manages their own data.
-        if subject == Some(resource.owner.as_str()) {
-            return Enforcement::Grant;
-        }
-
-        let delegation = state
-            .resource_delegations
-            .get(resource_id)
-            .or_else(|| state.user_delegations.get(&resource.owner));
-        match delegation {
-            Some(delegation) => {
-                // §V.B.6 warm path: a bearer whose decision is cached is
-                // granted while everything is still borrowed from the one
-                // state read — no resource/delegation clones, no dispatch.
-                let probe = bearer.map(|token| {
-                    let cache_key = (requester.to_owned(), resource_id.to_owned(), action.clone());
-                    (token, cache_key, token_digest(token))
-                });
-                if let Some((_, cache_key, digest)) = &probe {
-                    if self.cache.read().lookup(cache_key, digest, now) {
-                        drop(state);
-                        self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                        net.trace().note_with(&self.authority, || {
-                            format!("decision cache hit: {requester} {action} {resource_id}")
-                        });
-                        self.record(
-                            now,
-                            requester,
-                            resource_id,
-                            action,
-                            true,
-                            DecisionPath::Cache,
-                        );
-                        return Enforcement::Grant;
-                    }
-                }
-                // Redirect or decision query: take out what the slow path
-                // needs and release the state lock before dispatching.
-                let delegation = Arc::clone(delegation);
-                let owner = resource.owner.clone();
-                drop(state);
-                self.enforce_delegated(
-                    net,
-                    &delegation,
-                    &owner,
-                    requester,
-                    resource_id,
-                    action,
-                    probe,
-                    return_url,
-                    now,
-                )
-            }
-            None => {
-                drop(state);
-                self.enforce_legacy(subject, requester, resource_id, action, now)
-            }
+        match self.probe(
+            net,
+            requester,
+            subject,
+            resource_id,
+            action,
+            bearer,
+            return_url,
+            now,
+        ) {
+            Probe::Settled(verdict) => verdict,
+            Probe::Pending(query) => self.query_decision(net, query, now),
         }
     }
 
-    /// Enforces a whole round of access attempts, coalescing cache-miss
-    /// decision queries into `/protection/v1/decisions` batch requests.
+    /// Enforces a whole round of access attempts, coalescing the decision
+    /// queries the probe leaves pending into `/protection/v1/decisions`
+    /// batch requests.
     ///
-    /// With batching disabled ([`HostCore::set_decision_batching`]`(None)`,
-    /// the default) this is exactly [`HostCore::enforce`] applied in
-    /// order — same round trips, same responses, same log entries. With
-    /// batching on, misses are grouped by (AM, host token, owner); every
-    /// full `max_batch`-sized chunk flushes immediately, and the final
-    /// partial chunks wait out `max_delay_ms` — charged to the shared
-    /// [`SimClock`] **once** per round, since partial batches against
-    /// different AMs wait concurrently — before flushing. N misses
-    /// against one AM thus cost ⌈N/B⌉ round trips (experiment E7b).
+    /// Every attempt is probed in order exactly as [`HostCore::enforce`]
+    /// probes it. Pending queries are grouped by (AM, host token, owner);
+    /// every full `config.max_batch`-sized chunk flushes immediately, and
+    /// the final partial chunks wait out `config.max_delay_ms` — charged
+    /// to the shared [`SimClock`] **once** per round, since partial
+    /// batches against different AMs wait concurrently — before flushing.
+    /// N misses against one AM thus cost ⌈N/B⌉ round trips (experiment
+    /// E7b).
     pub fn enforce_batch(
         &self,
         net: &dyn Transport,
         attempts: &[AccessAttempt],
+        config: BatchConfig,
     ) -> Vec<Enforcement> {
-        let batching = *self.batching.read();
-        let Some(config) = batching else {
-            return attempts
-                .iter()
-                .map(|a| {
-                    self.enforce(
-                        net,
-                        &a.requester,
-                        a.subject.as_deref(),
-                        &a.resource_id,
-                        &a.action,
-                        a.bearer.as_deref(),
-                        &a.return_url,
-                    )
-                })
-                .collect();
-        };
-
         let now = self.clock.now_ms();
-        let mut results: Vec<Option<Enforcement>> = (0..attempts.len()).map(|_| None).collect();
-        let mut is_pending = vec![false; attempts.len()];
-        let mut pending: Vec<PendingQuery> = Vec::new();
-        {
-            // One state read to sieve the round: only cache-missing,
-            // token-bearing, delegated accesses need an AM round trip.
-            let state = self.state.read();
-            for (index, attempt) in attempts.iter().enumerate() {
-                let Some(resource) = state.resources.get(&attempt.resource_id) else {
-                    continue;
-                };
-                if attempt.subject.as_deref() == Some(resource.owner.as_str()) {
-                    continue;
-                }
-                let Some(delegation) = state
-                    .resource_delegations
-                    .get(&attempt.resource_id)
-                    .or_else(|| state.user_delegations.get(&resource.owner))
-                else {
-                    continue;
-                };
-                let Some(token) = attempt.bearer.as_deref() else {
-                    continue;
-                };
-                // Tier-1 first, mirroring `enforce`: a sieve hit settles
-                // the attempt here and never joins a batch.
-                if self.sieve_probe(
-                    net,
-                    &attempt.requester,
-                    &attempt.resource_id,
-                    &attempt.action,
-                    token,
-                    now,
-                ) {
-                    results[index] = Some(Enforcement::Grant);
-                    continue;
-                }
-                let cache_key = (
-                    attempt.requester.clone(),
-                    attempt.resource_id.clone(),
-                    attempt.action.clone(),
-                );
-                let digest = token_digest(token);
-                if self.cache.read().lookup(&cache_key, &digest, now) {
-                    continue;
-                }
-                is_pending[index] = true;
-                pending.push(PendingQuery {
-                    index,
-                    delegation: Arc::clone(delegation),
-                    owner: resource.owner.clone(),
-                    token: token.to_owned(),
-                    cache_key,
-                    token_digest: digest,
-                });
-            }
-        }
-
-        // Everything the scan skipped (404s, owner sessions, legacy
-        // ACLs, redirects, cache hits) settles through the single path —
-        // none of it involves an AM round trip. Sieve hits already
-        // settled above.
-        for (index, attempt) in attempts.iter().enumerate() {
-            if results[index].is_none() && !is_pending[index] {
-                results[index] = Some(self.enforce(
-                    net,
-                    &attempt.requester,
-                    attempt.subject.as_deref(),
-                    &attempt.resource_id,
-                    &attempt.action,
-                    attempt.bearer.as_deref(),
-                    &attempt.return_url,
-                ));
-            }
-        }
-
+        let mut results: Vec<Option<Enforcement>> = Vec::with_capacity(attempts.len());
         // Group per (AM, host token, owner): one batch request carries one
         // host token, and keying on owner keeps the per-owner fallback
         // lookup unambiguous. BTreeMap iteration keeps rounds replayable.
-        let resilience = self.resilience.read().clone();
-        let mut groups: BTreeMap<(String, String, String), Vec<PendingQuery>> = BTreeMap::new();
-        for query in pending {
-            let key = (
-                query.delegation.am.clone(),
-                query.delegation.host_token.clone(),
-                query.owner.clone(),
+        let mut groups: BTreeMap<(String, String, String), Vec<(usize, PendingQuery<'_>)>> =
+            BTreeMap::new();
+        for (index, a) in attempts.iter().enumerate() {
+            let probe = self.probe(
+                net,
+                &a.requester,
+                a.subject.as_deref(),
+                &a.resource_id,
+                &a.action,
+                a.bearer.as_deref(),
+                &a.return_url,
+                now,
             );
-            groups.entry(key).or_default().push(query);
+            match probe {
+                Probe::Settled(verdict) => results.push(Some(verdict)),
+                Probe::Pending(query) => {
+                    let key = (
+                        query.delegation.am.clone(),
+                        query.delegation.host_token.clone(),
+                        query.owner.clone(),
+                    );
+                    groups.entry(key).or_default().push((index, query));
+                    results.push(None);
+                }
+            }
         }
+
         let max_batch = config.max_batch.clamp(1, protocol::MAX_BATCH);
-        let mut full_chunks: Vec<Vec<PendingQuery>> = Vec::new();
-        let mut partial_chunks: Vec<Vec<PendingQuery>> = Vec::new();
+        let mut full_chunks = Vec::new();
+        let mut partial_chunks = Vec::new();
         for (_, queries) in groups {
             // flush-on-size: full chunks go out first …
             let mut queries = queries.into_iter();
             loop {
-                let chunk: Vec<PendingQuery> = queries.by_ref().take(max_batch).collect();
+                let chunk: Vec<_> = queries.by_ref().take(max_batch).collect();
                 if chunk.is_empty() {
                     break;
                 }
@@ -2196,6 +1989,7 @@ impl HostCore {
                 }
             }
         }
+        let resilience = self.resilience.read().clone();
         self.flush_batches(net, &resilience, full_chunks, &mut results);
         if !partial_chunks.is_empty() {
             // … and flush-on-deadline: the stragglers that would fill the
@@ -2211,191 +2005,64 @@ impl HostCore {
             .collect()
     }
 
-    /// Flushes a round's batch chunks. With plain resilience (no breaker,
-    /// no retry policy) the chunks are independent wire requests, so they
-    /// go out through [`Transport::dispatch_pipelined`]: over HTTP each
-    /// AM's chunks share one buffered write on its persistent connection,
-    /// over [`SimNet`](ucam_webenv::SimNet) the default implementation
-    /// dispatches them sequentially — identical responses, identical
-    /// accounting, on either backend. A breaker or retry policy makes
-    /// each dispatch outcome feed the next admission decision, so those
-    /// configurations keep the serialized per-chunk path.
-    fn flush_batches(
-        &self,
-        net: &dyn Transport,
-        resilience: &ResilienceConfig,
-        chunks: Vec<Vec<PendingQuery>>,
-        results: &mut [Option<Enforcement>],
-    ) {
-        if chunks.len() <= 1 || resilience.breaker.is_some() || resilience.am_retry.is_some() {
-            for chunk in chunks {
-                self.flush_batch(net, resilience, chunk, results);
-            }
-            return;
-        }
-        let mut reqs = Vec::with_capacity(chunks.len());
-        for chunk in &chunks {
-            let am = chunk[0].delegation.am.as_str();
-            let items = batch_items(chunk);
-            self.stats.batch_flushes.fetch_add(1, Ordering::Relaxed);
-            self.stats.am_queries.fetch_add(1, Ordering::Relaxed);
-            net.trace().note_with(&self.authority, || {
-                format!("batch flush: {} decision queries -> {am}", items.len())
-            });
-            reqs.push(
-                Request::new(
-                    Method::Post,
-                    &format!("https://{am}{}", protocol::BATCH_DECISIONS_PATH),
-                )
-                .with_param("host_token", &chunk[0].delegation.host_token)
-                .with_body(protocol::encode_batch_request(&items).as_str()),
-            );
-        }
-        let resps = net.dispatch_pipelined(&self.authority, reqs);
-        for (chunk, mut resp) in chunks.into_iter().zip(resps) {
-            let mut answered_by = chunk[0].delegation.am.clone();
-            if resp.transport_error().is_some() {
-                if let Some(fallback) =
-                    resilience.fallback_for(&chunk[0].delegation.am, &chunk[0].owner)
-                {
-                    self.stats.fallback_queries.fetch_add(1, Ordering::Relaxed);
-                    let am = chunk[0].delegation.am.clone();
-                    net.trace().note_with(&self.authority, || {
-                        format!("failing over batch query: {am} -> {}", fallback.am)
-                    });
-                    let body = protocol::encode_batch_request(&batch_items(&chunk));
-                    let fallback_am = fallback.am.clone();
-                    let fallback_token = fallback.host_token.clone();
-                    resp = self.dispatch_protected(net, resilience, &fallback_am, &|| {
-                        Request::new(
-                            Method::Post,
-                            &format!("https://{fallback_am}{}", protocol::BATCH_DECISIONS_PATH),
-                        )
-                        .with_param("host_token", &fallback_token)
-                        .with_body(body.as_str())
-                    });
-                    answered_by = fallback_am;
-                }
-            }
-            self.settle_batch_chunk(net, &resp, chunk, &answered_by, results);
-        }
-    }
-
-    /// Dispatches one batch chunk — all members share an (AM, host token,
-    /// owner) — and settles every member through the shared decision path.
-    fn flush_batch(
-        &self,
-        net: &dyn Transport,
-        resilience: &ResilienceConfig,
-        chunk: Vec<PendingQuery>,
-        results: &mut [Option<Enforcement>],
-    ) {
-        let am = chunk[0].delegation.am.clone();
-        let host_token = chunk[0].delegation.host_token.clone();
-        let owner = chunk[0].owner.clone();
-        let items = batch_items(&chunk);
-        self.stats.batch_flushes.fetch_add(1, Ordering::Relaxed);
-        net.trace().note_with(&self.authority, || {
-            format!("batch flush: {} decision queries -> {am}", items.len())
-        });
-        let body = protocol::encode_batch_request(&items);
-        let mut resp = self.dispatch_protected(net, resilience, &am, &|| {
-            Request::new(
-                Method::Post,
-                &format!("https://{am}{}", protocol::BATCH_DECISIONS_PATH),
-            )
-            .with_param("host_token", &host_token)
-            .with_body(body.as_str())
-        });
-        let mut answered_by = am.clone();
-        if resp.transport_error().is_some() {
-            if let Some(fallback) = resilience.fallback_for(&am, &owner) {
-                self.stats.fallback_queries.fetch_add(1, Ordering::Relaxed);
-                net.trace().note_with(&self.authority, || {
-                    format!("failing over batch query: {am} -> {}", fallback.am)
-                });
-                let fallback_am = fallback.am.clone();
-                let fallback_token = fallback.host_token.clone();
-                resp = self.dispatch_protected(net, resilience, &fallback_am, &|| {
-                    Request::new(
-                        Method::Post,
-                        &format!("https://{fallback_am}{}", protocol::BATCH_DECISIONS_PATH),
-                    )
-                    .with_param("host_token", &fallback_token)
-                    .with_body(body.as_str())
-                });
-                answered_by = fallback_am;
-            }
-        }
-        self.settle_batch_chunk(net, &resp, chunk, &answered_by, results);
-    }
-
-    /// Settles every member of one answered batch chunk through the
-    /// shared decision path — common tail of the serialized and
-    /// pipelined flush paths.
-    fn settle_batch_chunk(
-        &self,
-        net: &dyn Transport,
-        resp: &Response,
-        chunk: Vec<PendingQuery>,
-        decided_by: &str,
-        results: &mut [Option<Enforcement>],
-    ) {
-        let now = self.clock.now_ms();
-        let outcomes = classify_batch(resp, chunk.len());
-        for (query, outcome) in chunk.into_iter().zip(outcomes) {
-            let PendingQuery {
-                index,
-                owner,
-                token,
-                cache_key,
-                token_digest,
-                ..
-            } = query;
-            let requester = cache_key.0.clone();
-            let resource_id = cache_key.1.clone();
-            let action = cache_key.2.clone();
-            let fingerprint =
-                sieve_fingerprint_memo(&token, &resource_id, action_label(&action), &requester);
-            results[index] = Some(self.settle_decision(
-                net,
-                outcome,
-                &owner,
-                &requester,
-                &resource_id,
-                &action,
-                cache_key,
-                token_digest,
-                fingerprint,
-                // Batch queries never carry an `if_epoch` precondition,
-                // so a stray *unchanged* item fails closed.
-                None,
-                decided_by,
-                now,
-            ));
-        }
-    }
-
-    /// The delegated slow path of [`HostCore::enforce`]. `probe` carries
-    /// the bearer token with the decision-cache key and token digest the
-    /// caller already built for its warm-path lookup; `None` means no
-    /// bearer was presented.
+    /// Settles what the Host can decide without the AM, in this order:
+    /// a tier-1 sieve hit before any lock is taken, then under one state
+    /// read an unknown resource (404), an owner session, the legacy ACLs
+    /// of an undelegated resource, the Fig. 5 redirect of a token-less
+    /// requester, and a decision-cache hit (§V.B.6). Everything else is a
+    /// pending AM query.
     #[allow(clippy::too_many_arguments)]
-    fn enforce_delegated(
+    fn probe<'a>(
         &self,
         net: &dyn Transport,
-        delegation: &DelegationConfig,
-        owner: &str,
-        requester: &str,
-        resource_id: &str,
-        action: &Action,
-        probe: Option<(&str, CacheKey, [u8; 32])>,
+        requester: &'a str,
+        subject: Option<&str>,
+        resource_id: &'a str,
+        action: &'a Action,
+        bearer: Option<&'a str>,
         return_url: &Url,
         now: u64,
-    ) -> Enforcement {
-        let Some((token, cache_key, token_digest)) = probe else {
+    ) -> Probe<'a> {
+        // Tier-1 (DESIGN.md §12): an AM-pushed sieve entry for exactly
+        // this (token, resource, action, requester) grants before any
+        // lock is taken. Entries only exist for resources that were
+        // present and delegated at install time, and every mutation that
+        // could invalidate them (deletion, re-delegation, epoch advance)
+        // purges, so a hit is as trustworthy as a decision-cache hit.
+        if let Some(token) = bearer {
+            if self.sieve_probe(net, requester, resource_id, action, token, now) {
+                return Probe::Settled(Enforcement::Grant);
+            }
+        }
+        let state = self.state.read();
+        let Some(resource) = state.resources.get(resource_id) else {
+            return Probe::Settled(Enforcement::Block(Response::not_found(resource_id)));
+        };
+
+        // The owner manages their own data.
+        if subject == Some(resource.owner.as_str()) {
+            return Probe::Settled(Enforcement::Grant);
+        }
+
+        let Some(delegation) = state
+            .resource_delegations
+            .get(resource_id)
+            .or_else(|| state.user_delegations.get(&resource.owner))
+        else {
+            drop(state);
+            return Probe::Settled(self.enforce_legacy(
+                subject,
+                requester,
+                resource_id,
+                action,
+                now,
+            ));
+        };
+        let Some(token) = bearer else {
             // Fig. 5: "a Host redirects a Requester to the AM along with
             // information about the Host and the resource".
+            let (delegation, owner) = (Arc::clone(delegation), resource.owner.clone());
+            drop(state);
             self.record(
                 now,
                 requester,
@@ -2407,21 +2074,25 @@ impl HostCore {
             self.stats.redirects.fetch_add(1, Ordering::Relaxed);
             let authorize = Url::new(&delegation.am, "/authorize")
                 .with_query("host", &self.authority)
-                .with_query("owner", owner)
+                .with_query("owner", &owner)
                 .with_query("resource", resource_id)
                 .with_query("action", action_label(action))
                 .with_query("requester", requester)
                 .with_query("return", &return_url.to_string());
-            return Enforcement::Block(
+            return Probe::Settled(Enforcement::Block(
                 Response::redirect(&authorize)
                     .with_header("www-authenticate", "Bearer realm=\"ucam\""),
-            );
+            ));
         };
 
-        // §V.B.6: consult the cached decision first. The hit is only
-        // valid for the same bearer token (by digest), within its TTL,
-        // and while the owner's policy epoch is unchanged.
+        // §V.B.6 warm path: a cached decision is only valid for the same
+        // bearer token (by digest), within its TTL, and while the owner's
+        // policy epoch is unchanged. A hit is granted while everything is
+        // still borrowed from the one state read.
+        let cache_key = (requester.to_owned(), resource_id.to_owned(), action.clone());
+        let token_digest = token_digest(token);
         if self.cache.read().lookup(&cache_key, &token_digest, now) {
+            drop(state);
             self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
             // Lazy label: free (one atomic load) while tracing is off.
             net.trace().note_with(&self.authority, || {
@@ -2435,9 +2106,31 @@ impl HostCore {
                 true,
                 DecisionPath::Cache,
             );
-            return Enforcement::Grant;
+            return Probe::Settled(Enforcement::Grant);
         }
+        Probe::Pending(PendingQuery {
+            token,
+            requester,
+            resource_id,
+            action,
+            delegation: Arc::clone(delegation),
+            owner: resource.owner.clone(),
+            cache_key,
+            token_digest,
+        })
+    }
 
+    /// Flushes [`HostCore::enforce`]'s one pending query as a Fig. 6
+    /// decision query, hardened per DESIGN.md §10: the primary is tried
+    /// under the breaker and retry policy, then [`HostCore::failover`].
+    /// Without an `if_epoch` precondition the v1 wire request is
+    /// byte-identical to what it always was.
+    fn query_decision(
+        &self,
+        net: &dyn Transport,
+        query: PendingQuery<'_>,
+        now: u64,
+    ) -> Enforcement {
         // DESIGN.md §16: with conditional revalidation on, a TTL-expired
         // but epoch-fresh entry for this same token turns the full query
         // into an `if_epoch` precondition the AM can collapse to a tiny
@@ -2445,341 +2138,26 @@ impl HostCore {
         let if_epoch = if self.conditional_revalidation.load(Ordering::Relaxed) {
             self.cache
                 .read()
-                .revalidation_epoch(&cache_key, &token_digest, now)
+                .revalidation_epoch(&query.cache_key, &query.token_digest, now)
         } else {
             None
         };
         if if_epoch.is_some() {
             self.stats.revalidations.fetch_add(1, Ordering::Relaxed);
         }
-
-        // Fig. 6: decision query to the AM — hardened per DESIGN.md §10.
-        // The primary is tried under the breaker and retry policy; a
-        // transport failure falls over to the configured fallback AM. Only
-        // transport failures can reach degraded mode below: an AM that
-        // *answers* (permit, deny, 401, even an application 5xx) is always
-        // taken at its word.
-        let resilience = self.resilience.read().clone();
-        let mut answered_by = delegation.am.as_str();
-        let mut resp = self.query_decision(
-            net,
-            &resilience,
-            delegation,
-            token,
-            resource_id,
-            action,
-            requester,
-            if_epoch,
+        let (token, resource_id, action, requester) = (
+            query.token,
+            query.resource_id,
+            query.action,
+            query.requester,
         );
-        if resp.transport_error().is_some() {
-            if let Some(fallback) = resilience.fallback_for(&delegation.am, owner) {
-                self.stats.fallback_queries.fetch_add(1, Ordering::Relaxed);
-                net.trace().note_with(&self.authority, || {
-                    format!(
-                        "failing over decision query: {} -> {}",
-                        delegation.am, fallback.am
-                    )
-                });
-                // Never conditional against the fallback: the cached
-                // entry's epoch lives in the *primary* AM's epoch space,
-                // and a numerically equal epoch at the mirror would
-                // falsely re-arm it.
-                answered_by = &fallback.am;
-                resp = self.query_decision(
-                    net,
-                    &resilience,
-                    fallback,
-                    token,
-                    resource_id,
-                    action,
-                    requester,
-                    None,
-                );
-            }
-        }
-
-        let fingerprint =
-            sieve_fingerprint_memo(token, resource_id, action_label(action), requester);
-        self.settle_decision(
-            net,
-            classify_decision(&resp),
-            owner,
-            requester,
-            resource_id,
-            action,
-            cache_key,
-            token_digest,
-            fingerprint,
-            if_epoch,
-            answered_by,
-            now,
-        )
-    }
-
-    /// Concludes one decision query (or batch item) from its normalized
-    /// [`DecisionOutcome`]: caches and grants permits, fails everything
-    /// else closed, and gives transport failures — and only those — the
-    /// degraded-mode chance at an expired-but-graceable permit.
-    /// `if_epoch` is the precondition the query carried, if any — an
-    /// *unchanged* reply re-arms the cached permit at exactly that epoch
-    /// (the reply does not echo it; the AM only says "unchanged" when
-    /// the epochs are equal).
-    #[allow(clippy::too_many_arguments)]
-    fn settle_decision(
-        &self,
-        net: &dyn Transport,
-        outcome: DecisionOutcome,
-        owner: &str,
-        requester: &str,
-        resource_id: &str,
-        action: &Action,
-        cache_key: CacheKey,
-        token_digest: [u8; 32],
-        fingerprint: protocol::SieveFingerprint,
-        if_epoch: Option<u64>,
-        decided_by: &str,
-        now: u64,
-    ) -> Enforcement {
-        match outcome {
-            DecisionOutcome::Unchanged(body) => {
-                // DESIGN.md §16: the AM confirmed the expired permit is
-                // still good at the epoch we presented. Re-arm it in
-                // place; if the entry is gone or moved (evicted, token
-                // churn, epoch advance raced us), or the query never
-                // carried a precondition for the reply to confirm, the
-                // unchanged reply vouches for nothing we still hold —
-                // fail closed, per the wire contract.
-                let rearmed = match if_epoch {
-                    Some(epoch) => self.cache.write().rearm(
-                        &cache_key,
-                        &token_digest,
-                        epoch,
-                        now + body.cacheable_ms,
-                    ),
-                    None => false,
-                };
-                if rearmed {
-                    self.stats
-                        .revalidations_unchanged
-                        .fetch_add(1, Ordering::Relaxed);
-                    net.trace().note_with(&self.authority, || {
-                        format!(
-                            "revalidated unchanged: {requester} {action} {resource_id} \
-                             ({} ms)",
-                            body.cacheable_ms
-                        )
-                    });
-                    self.record(
-                        now,
-                        requester,
-                        resource_id,
-                        action,
-                        true,
-                        DecisionPath::AmQuery,
-                    );
-                    return Enforcement::Grant;
-                }
-                self.record(
-                    now,
-                    requester,
-                    resource_id,
-                    action,
-                    false,
-                    DecisionPath::Refused,
-                );
-                Enforcement::Block(
-                    Response::with_status(Status::Unavailable).with_body(
-                        "unchanged reply without a matching cached permit; access denied",
-                    ),
-                )
-            }
-            DecisionOutcome::Body(body) if body.is_permit() => {
-                let cacheable_ms = body.cacheable_ms.unwrap_or(0);
-                if cacheable_ms > 0 {
-                    // One write lock for the whole insert: the enabled
-                    // flag is re-checked inside, so a concurrent
-                    // `set_cache_enabled(false)` cannot be overtaken.
-                    let mut cache = self.cache.write();
-                    let epoch = body.policy_epoch.unwrap_or(0);
-                    if let Some(epoch) = body.policy_epoch {
-                        cache.note_epoch(owner, epoch);
-                    }
-                    cache.insert(
-                        cache_key,
-                        CachedDecision {
-                            expires_at_ms: now + cacheable_ms,
-                            token_digest,
-                            owner: owner.to_owned(),
-                            am: decided_by.to_owned(),
-                            epoch,
-                            fingerprint,
-                            referenced: AtomicBool::new(false),
-                        },
-                        now,
-                    );
-                    net.trace().note_with(&self.authority, || {
-                        format!(
-                            "cached permit: {requester} {action} {resource_id} \
-                             ({cacheable_ms} ms)"
-                        )
-                    });
-                }
-                self.record(
-                    now,
-                    requester,
-                    resource_id,
-                    action,
-                    true,
-                    DecisionPath::AmQuery,
-                );
-                Enforcement::Grant
-            }
-            DecisionOutcome::Body(body) if body.is_error() => {
-                // A per-item protocol failure inside a batch — same
-                // contract as a single-query 401: re-authorize.
-                self.record(
-                    now,
-                    requester,
-                    resource_id,
-                    action,
-                    false,
-                    DecisionPath::Refused,
-                );
-                Enforcement::Block(
-                    Response::with_status(Status::Unauthorized)
-                        .with_body("authorization token rejected; re-authorize"),
-                )
-            }
-            DecisionOutcome::Body(_) => {
-                self.record(
-                    now,
-                    requester,
-                    resource_id,
-                    action,
-                    false,
-                    DecisionPath::AmQuery,
-                );
-                Enforcement::Block(Response::forbidden(
-                    "access denied by authorization manager",
-                ))
-            }
-            DecisionOutcome::Malformed => {
-                // A 200 with an unparsable body is a protocol error,
-                // not a permit. Fail closed.
-                self.record(
-                    now,
-                    requester,
-                    resource_id,
-                    action,
-                    false,
-                    DecisionPath::Refused,
-                );
-                Enforcement::Block(
-                    Response::with_status(Status::Unavailable)
-                        .with_body("malformed decision response; access denied"),
-                )
-            }
-            DecisionOutcome::TokenRejected => {
-                // Bad/expired token: requester must obtain a fresh one.
-                self.record(
-                    now,
-                    requester,
-                    resource_id,
-                    action,
-                    false,
-                    DecisionPath::Refused,
-                );
-                Enforcement::Block(
-                    Response::with_status(Status::Unauthorized)
-                        .with_body("authorization token rejected; re-authorize"),
-                )
-            }
-            DecisionOutcome::Transport => {
-                // Degraded mode (opt-in): a transport-level failure — and
-                // only that — may serve an expired cached permit within
-                // its grace window.
-                let stale_now = self.clock.now_ms();
-                if let Some(staleness) =
-                    self.cache
-                        .read()
-                        .lookup_stale(&cache_key, &token_digest, stale_now)
-                {
-                    self.stats.stale_served.fetch_add(1, Ordering::Relaxed);
-                    self.max_served_staleness_ms
-                        .fetch_max(staleness, Ordering::Relaxed);
-                    net.trace().note_with(&self.authority, || {
-                        format!(
-                            "degraded: stale permit served {staleness} ms past TTL: \
-                             {requester} {action} {resource_id}"
-                        )
-                    });
-                    self.record(
-                        stale_now,
-                        requester,
-                        resource_id,
-                        action,
-                        true,
-                        DecisionPath::StaleGrace,
-                    );
-                    return Enforcement::Grant;
-                }
-                self.fail_closed_unreachable(now, requester, resource_id, action)
-            }
-            DecisionOutcome::Unavailable => {
-                // Application 5xxs and everything else never reach
-                // degraded mode: fail closed.
-                self.fail_closed_unreachable(now, requester, resource_id, action)
-            }
-        }
-    }
-
-    fn fail_closed_unreachable(
-        &self,
-        now: u64,
-        requester: &str,
-        resource_id: &str,
-        action: &Action,
-    ) -> Enforcement {
-        self.record(
-            now,
-            requester,
-            resource_id,
-            action,
-            false,
-            DecisionPath::Refused,
-        );
-        Enforcement::Block(
-            Response::with_status(Status::Unavailable)
-                .with_body("authorization manager unreachable; access denied"),
-        )
-    }
-
-    /// Sends one decision query to `delegation`'s AM under the breaker
-    /// and retry policy. Breaker fast-fails synthesize an
-    /// [`TransportError::Unreachable`] response without dispatching.
-    /// With `if_epoch` set, the query goes to the v2 conditional route
-    /// carrying the precondition; without it, the v1 wire request is
-    /// byte-identical to what it always was.
-    #[allow(clippy::too_many_arguments)]
-    fn query_decision(
-        &self,
-        net: &dyn Transport,
-        resilience: &ResilienceConfig,
-        delegation: &DelegationConfig,
-        token: &str,
-        resource_id: &str,
-        action: &Action,
-        requester: &str,
-        if_epoch: Option<u64>,
-    ) -> Response {
-        let am = delegation.am.as_str();
-        let path = if if_epoch.is_some() {
-            protocol::DECISION_V2_PATH
-        } else {
-            protocol::DECISION_PATH
-        };
-        self.dispatch_protected(net, resilience, am, &|| {
-            let mut req = Request::to_url(Method::Post, Url::new(am, path))
+        let request = |delegation: &DelegationConfig, if_epoch: Option<u64>| {
+            let path = if if_epoch.is_some() {
+                protocol::DECISION_V2_PATH
+            } else {
+                protocol::DECISION_PATH
+            };
+            let mut req = Request::to_url(Method::Post, Url::new(&delegation.am, path))
                 .with_param("host_token", &delegation.host_token)
                 .with_param("token", token)
                 .with_param("resource", resource_id)
@@ -2789,7 +2167,289 @@ impl HostCore {
                 req = req.with_param("if_epoch", &epoch.to_string());
             }
             req
-        })
+        };
+        let resilience = self.resilience.read().clone();
+        let primary = &query.delegation;
+        let resp = self.dispatch_protected(net, &resilience, &primary.am, &|| {
+            request(primary, if_epoch)
+        });
+        // Never conditional against the fallback: the cached entry's epoch
+        // lives in the *primary* AM's epoch space, and a numerically equal
+        // epoch at the mirror would falsely re-arm it.
+        let (resp, fallback) = self.failover(net, &resilience, &query, "decision", resp, |d| {
+            request(d, None)
+        });
+        self.settle_decision(
+            net,
+            classify_decision(&resp),
+            query,
+            if_epoch,
+            fallback,
+            now,
+        )
+    }
+
+    /// Flushes a round's batch chunks. With plain resilience (no breaker,
+    /// no retry policy) the chunks are independent wire requests, so they
+    /// go out through [`Transport::dispatch_pipelined`]: over HTTP each
+    /// AM's chunks share one buffered write on its persistent connection,
+    /// over [`SimNet`](ucam_webenv::SimNet) the default implementation
+    /// dispatches them sequentially — identical responses, identical
+    /// accounting, on either backend. A breaker or retry policy makes
+    /// each dispatch outcome feed the next admission decision, so those
+    /// configurations dispatch, fail over and settle one chunk at a time.
+    fn flush_batches(
+        &self,
+        net: &dyn Transport,
+        resilience: &ResilienceConfig,
+        chunks: Vec<Vec<(usize, PendingQuery<'_>)>>,
+        results: &mut [Option<Enforcement>],
+    ) {
+        let bodies: Vec<String> = chunks
+            .iter()
+            .map(|chunk| protocol::encode_batch_request(&batch_items(chunk)))
+            .collect();
+        let note_flush = |chunk: &[(usize, PendingQuery<'_>)]| {
+            self.stats.batch_flushes.fetch_add(1, Ordering::Relaxed);
+            net.trace().note_with(&self.authority, || {
+                let am = &chunk[0].1.delegation.am;
+                format!("batch flush: {} decision queries -> {am}", chunk.len())
+            });
+        };
+        let pipelined =
+            chunks.len() > 1 && resilience.breaker.is_none() && resilience.am_retry.is_none();
+        let mut piped = if pipelined {
+            let reqs = chunks
+                .iter()
+                .zip(&bodies)
+                .map(|(chunk, body)| {
+                    note_flush(chunk);
+                    self.stats.am_queries.fetch_add(1, Ordering::Relaxed);
+                    batch_request(&chunk[0].1.delegation, body)
+                })
+                .collect();
+            net.dispatch_pipelined(&self.authority, reqs)
+        } else {
+            Vec::new()
+        }
+        .into_iter();
+        for (chunk, body) in chunks.into_iter().zip(&bodies) {
+            let lead = &chunk[0].1;
+            // Pipelined answers come back in chunk order; otherwise the
+            // chunk goes out here, after the one before it settled.
+            let resp = piped.next().unwrap_or_else(|| {
+                note_flush(&chunk);
+                self.dispatch_protected(net, resilience, &lead.delegation.am, &|| {
+                    batch_request(&lead.delegation, body)
+                })
+            });
+            let (resp, fallback) = self.failover(net, resilience, lead, "batch", resp, |d| {
+                batch_request(d, body)
+            });
+            let now = self.clock.now_ms();
+            let outcomes = classify_batch(&resp, chunk.len());
+            for ((index, query), outcome) in chunk.into_iter().zip(outcomes) {
+                // Batch queries never carry an `if_epoch` precondition,
+                // so a stray *unchanged* item fails closed.
+                results[index] =
+                    Some(self.settle_decision(net, outcome, query, None, fallback, now));
+            }
+        }
+    }
+
+    /// Retries a decision exchange at the owner's fallback AM when the
+    /// primary's answer `resp` failed at the transport level (or its
+    /// circuit is open) — the one failover the single and batched flushes
+    /// share. Only transport failures fail over: an AM that *answers*
+    /// (permit, deny, 401, even an application 5xx) is always taken at its
+    /// word. Returns the response to settle and, when the fallback gave
+    /// it, the fallback's delegation.
+    fn failover<'r>(
+        &self,
+        net: &dyn Transport,
+        resilience: &'r ResilienceConfig,
+        query: &PendingQuery<'_>,
+        kind: &str,
+        resp: Response,
+        request: impl Fn(&DelegationConfig) -> Request,
+    ) -> (Response, Option<&'r DelegationConfig>) {
+        if resp.transport_error().is_none() {
+            return (resp, None);
+        }
+        let primary = &query.delegation.am;
+        let Some(fallback) = resilience.fallback_for(primary, &query.owner) else {
+            return (resp, None);
+        };
+        self.stats.fallback_queries.fetch_add(1, Ordering::Relaxed);
+        net.trace().note_with(&self.authority, || {
+            format!("failing over {kind} query: {primary} -> {}", fallback.am)
+        });
+        let resp = self.dispatch_protected(net, resilience, &fallback.am, &|| request(fallback));
+        (resp, Some(fallback))
+    }
+
+    /// Concludes one pending query from its normalized
+    /// [`DecisionOutcome`]: caches and grants permits, fails everything
+    /// else closed, and gives transport failures — and only those — the
+    /// degraded-mode chance at an expired-but-graceable permit.
+    /// `if_epoch` is the precondition the query carried, if any — an
+    /// *unchanged* reply re-arms the cached permit at exactly that epoch
+    /// (the reply does not echo it; the AM only says "unchanged" when
+    /// the epochs are equal). `fallback` is the AM that answered in the
+    /// primary's place, if any.
+    fn settle_decision(
+        &self,
+        net: &dyn Transport,
+        outcome: DecisionOutcome,
+        query: PendingQuery<'_>,
+        if_epoch: Option<u64>,
+        fallback: Option<&DelegationConfig>,
+        now: u64,
+    ) -> Enforcement {
+        let PendingQuery {
+            token,
+            requester,
+            resource_id,
+            action,
+            delegation,
+            owner,
+            cache_key,
+            token_digest,
+        } = query;
+        let record = |at_ms, granted, via| {
+            self.record(at_ms, requester, resource_id, action, granted, via);
+        };
+        let refuse = |status, body: &str| {
+            record(now, false, DecisionPath::Refused);
+            Enforcement::Block(Response::with_status(status).with_body(body))
+        };
+        let am_unreachable = || {
+            refuse(
+                Status::Unavailable,
+                "authorization manager unreachable; access denied",
+            )
+        };
+        match outcome {
+            DecisionOutcome::Unchanged(body) => {
+                // DESIGN.md §16: the AM confirmed the expired permit is
+                // still good at the epoch we presented. Re-arm it in
+                // place; if the entry is gone or moved (evicted, token
+                // churn, epoch advance raced us), or the query never
+                // carried a precondition for the reply to confirm, the
+                // unchanged reply vouches for nothing we still hold —
+                // fail closed, per the wire contract.
+                let rearmed = if_epoch.is_some_and(|epoch| {
+                    self.cache.write().rearm(
+                        &cache_key,
+                        &token_digest,
+                        epoch,
+                        now + body.cacheable_ms,
+                    )
+                });
+                if !rearmed {
+                    return refuse(
+                        Status::Unavailable,
+                        "unchanged reply without a matching cached permit; access denied",
+                    );
+                }
+                self.stats
+                    .revalidations_unchanged
+                    .fetch_add(1, Ordering::Relaxed);
+                net.trace().note_with(&self.authority, || {
+                    format!(
+                        "revalidated unchanged: {requester} {action} {resource_id} ({} ms)",
+                        body.cacheable_ms
+                    )
+                });
+                record(now, true, DecisionPath::AmQuery);
+                Enforcement::Grant
+            }
+            DecisionOutcome::Body(body) if body.is_permit() => {
+                let cacheable_ms = body.cacheable_ms.unwrap_or(0);
+                if cacheable_ms > 0 {
+                    // One write lock for the whole insert: the enabled
+                    // flag is re-checked inside, so a concurrent
+                    // `set_cache_enabled(false)` cannot be overtaken.
+                    let mut cache = self.cache.write();
+                    if let Some(epoch) = body.policy_epoch {
+                        cache.note_epoch(&owner, epoch);
+                    }
+                    let entry = CachedDecision {
+                        expires_at_ms: now + cacheable_ms,
+                        token_digest,
+                        am: fallback.map_or(&delegation.am, |f| &f.am).clone(),
+                        owner,
+                        epoch: body.policy_epoch.unwrap_or(0),
+                        fingerprint: sieve_fingerprint_memo(
+                            token,
+                            resource_id,
+                            action_label(action),
+                            requester,
+                        ),
+                        referenced: AtomicBool::new(false),
+                    };
+                    cache.insert(cache_key, entry, now);
+                    net.trace().note_with(&self.authority, || {
+                        format!(
+                            "cached permit: {requester} {action} {resource_id} \
+                             ({cacheable_ms} ms)"
+                        )
+                    });
+                }
+                record(now, true, DecisionPath::AmQuery);
+                Enforcement::Grant
+            }
+            // A per-item protocol failure inside a batch — same contract
+            // as a single-query 401: re-authorize.
+            DecisionOutcome::Body(body) if body.is_error() => refuse(
+                Status::Unauthorized,
+                "authorization token rejected; re-authorize",
+            ),
+            DecisionOutcome::Body(_) => {
+                record(now, false, DecisionPath::AmQuery);
+                Enforcement::Block(Response::forbidden(
+                    "access denied by authorization manager",
+                ))
+            }
+            // A 200 with an unparsable body is a protocol error, not a
+            // permit. Fail closed.
+            DecisionOutcome::Malformed => refuse(
+                Status::Unavailable,
+                "malformed decision response; access denied",
+            ),
+            // Bad/expired token: requester must obtain a fresh one.
+            DecisionOutcome::TokenRejected => refuse(
+                Status::Unauthorized,
+                "authorization token rejected; re-authorize",
+            ),
+            // Degraded mode (opt-in): a transport-level failure — and only
+            // that — may serve an expired cached permit within its grace
+            // window.
+            DecisionOutcome::Transport => {
+                let stale_now = self.clock.now_ms();
+                let stale = self
+                    .cache
+                    .read()
+                    .lookup_stale(&cache_key, &token_digest, stale_now);
+                let Some(staleness) = stale else {
+                    return am_unreachable();
+                };
+                self.stats.stale_served.fetch_add(1, Ordering::Relaxed);
+                self.max_served_staleness_ms
+                    .fetch_max(staleness, Ordering::Relaxed);
+                net.trace().note_with(&self.authority, || {
+                    format!(
+                        "degraded: stale permit served {staleness} ms past TTL: \
+                         {requester} {action} {resource_id}"
+                    )
+                });
+                record(stale_now, true, DecisionPath::StaleGrace);
+                Enforcement::Grant
+            }
+            // Application 5xxs and everything else never reach degraded
+            // mode: fail closed.
+            DecisionOutcome::Unavailable => am_unreachable(),
+        }
     }
 
     /// Dispatches one AM request under the breaker and retry policy —
@@ -2984,30 +2644,56 @@ fn classify_batch(resp: &Response, expected: usize) -> Vec<DecisionOutcome> {
         .collect()
 }
 
-/// A cache-missing, token-bearing delegated access waiting on its AM
-/// round trip inside a batched enforcement round.
-struct PendingQuery {
-    /// Position in the round's `attempts` slice.
-    index: usize,
+/// What [`HostCore::probe`] makes of one access attempt.
+enum Probe<'a> {
+    /// Decided without the AM.
+    Settled(Enforcement),
+    /// A delegated, token-bearing access that missed the cache and waits
+    /// on an AM decision.
+    Pending(PendingQuery<'a>),
+}
+
+/// An access waiting on its AM decision. It borrows the request tuple and
+/// owns only what the probe took out of the state lock and the cache key
+/// a permit will be stored under.
+struct PendingQuery<'a> {
+    token: &'a str,
+    requester: &'a str,
+    resource_id: &'a str,
+    action: &'a Action,
     delegation: Arc<HeldDelegation>,
     owner: String,
-    token: String,
     cache_key: CacheKey,
     token_digest: [u8; 32],
 }
 
 /// Encodes one batch chunk's members as `/protection/v1/decisions`
 /// request items.
-fn batch_items(chunk: &[PendingQuery]) -> Vec<BatchItem> {
+fn batch_items(chunk: &[(usize, PendingQuery<'_>)]) -> Vec<BatchItem> {
     chunk
         .iter()
-        .map(|q| BatchItem {
-            token: q.token.clone(),
-            resource: q.cache_key.1.clone(),
-            action: q.cache_key.2.to_string(),
-            requester: q.cache_key.0.clone(),
+        .map(|(_, q)| BatchItem {
+            token: q.token.to_owned(),
+            resource: q.resource_id.to_owned(),
+            action: q.action.to_string(),
+            requester: q.requester.to_owned(),
         })
         .collect()
+}
+
+/// A `/protection/v1/decisions` request carrying the encoded `body` to
+/// `delegation`'s AM.
+fn batch_request(delegation: &DelegationConfig, body: &str) -> Request {
+    Request::new(
+        Method::Post,
+        &format!(
+            "https://{}{}",
+            delegation.am,
+            protocol::BATCH_DECISIONS_PATH
+        ),
+    )
+    .with_param("host_token", &delegation.host_token)
+    .with_body(body)
 }
 
 /// Extracts `cacheable_ms` from a decision response body; 0 unless the
@@ -3074,14 +2760,21 @@ mod tests {
                     return Response::bad_request("bad batch");
                 };
                 let grants = self.grants.lock();
-                let bodies: Vec<DecisionBody> = items
+                let bodies: Result<Vec<DecisionBody>, _> = items
                     .iter()
                     .map(|item| match grants.get(&item.token) {
-                        Some(body) => DecisionBody::from_json(body).expect("canned body"),
-                        None => DecisionBody::error("bad token"),
+                        Some(body) => DecisionBody::from_json(body),
+                        None => Ok(DecisionBody::error("bad token")),
                     })
                     .collect();
-                return Response::ok().with_body(protocol::encode_batch_response(&bodies));
+                // A canned body that is no decision makes the whole batch
+                // reply malformed, as it makes a single reply malformed.
+                return match bodies {
+                    Ok(bodies) => {
+                        Response::ok().with_body(protocol::encode_batch_response(&bodies))
+                    }
+                    Err(_) => Response::ok().with_body("certainly! all permitted"),
+                };
             }
             let token = req.param("token").unwrap_or("");
             match self.grants.lock().get(token) {
@@ -3215,17 +2908,17 @@ mod tests {
         am.grant("good", &permit_body(60_000, 1));
         net.register(am.clone());
         let h = delegated_host(&net);
-        h.set_decision_cache_capacity(4);
-        for i in 0..10 {
+        let bound = DEFAULT_DECISION_CACHE_CAPACITY;
+        for i in 0..bound + 6 {
             let id = format!("x{i}");
             h.put_resource(&id, "bob", "file", vec![]).unwrap();
             let url = Url::new("h.example", &format!("/{id}"));
             assert!(h
                 .enforce(&net, "req", None, &id, &Action::Read, Some("good"), &url)
                 .is_grant());
-            assert!(h.decision_cache_len() <= 4, "cache exceeded its bound");
+            assert!(h.decision_cache_len() <= bound, "cache exceeded its bound");
         }
-        assert_eq!(h.decision_cache_len(), 4);
+        assert_eq!(h.decision_cache_len(), bound);
 
         // Everything expires; the next insert sweeps the corpses out.
         net.clock().advance_ms(120_000);
@@ -3736,15 +3429,15 @@ mod tests {
             h.put_resource(&format!("r{i}"), "bob", "file", b"data".to_vec())
                 .unwrap();
         }
-        h.set_decision_batching(Some(BatchConfig {
+        let config = BatchConfig {
             max_batch: 2,
             max_delay_ms: 5,
-        }));
+        };
         let attempts: Vec<AccessAttempt> = (1..=5)
             .map(|i| read_attempt("req", &format!("r{i}"), "good"))
             .collect();
 
-        let results = h.enforce_batch(&net, &attempts);
+        let results = h.enforce_batch(&net, &attempts, config);
         assert!(results.iter().all(Enforcement::is_grant));
         // N=5 misses at B=2: exactly ⌈5/2⌉ = 3 wire round trips — two
         // full flushes plus one deadline flush.
@@ -3753,38 +3446,138 @@ mod tests {
         assert_eq!(h.stats().am_queries, 3);
 
         // The whole round is now cached: a repeat costs zero round trips.
-        let results = h.enforce_batch(&net, &attempts);
+        let results = h.enforce_batch(&net, &attempts, config);
         assert!(results.iter().all(Enforcement::is_grant));
         assert_eq!(net.stats().edge("h.example", "am.example"), 3);
         assert_eq!(h.stats().cache_hits, 5);
     }
 
+    /// `enforce` and a one-attempt `enforce_batch` run the same probe,
+    /// failover and settle, so they must agree on the verdict, the log
+    /// entry and every counter but `batch_flushes` — for every kind of
+    /// attempt, with a sieve installed (so every probe counts a sieve hit
+    /// or miss).
     #[test]
-    fn batching_off_round_matches_single_path_exactly() {
-        let run = |batching: Option<BatchConfig>| {
+    fn batched_and_single_enforcement_agree_on_every_attempt_kind() {
+        struct Case {
+            label: &'static str,
+            subject: Option<&'static str>,
+            resource: &'static str,
+            bearer: Option<&'static str>,
+            /// Serve one access before the measured one (warms the cache).
+            warm: bool,
+            am_offline: bool,
+            /// The blocking status, `None` for a grant.
+            expect: Option<Status>,
+        }
+        let case = |label, resource, bearer, expect| Case {
+            label,
+            subject: None,
+            resource,
+            bearer,
+            warm: false,
+            am_offline: false,
+            expect,
+        };
+        let cases = [
+            case("404", "missing", Some("good"), Some(Status::NotFound)),
+            Case {
+                subject: Some("bob"),
+                ..case("owner session", "r1", None, None)
+            },
+            case(
+                "legacy ACL",
+                "legacy",
+                Some("good"),
+                Some(Status::Forbidden),
+            ),
+            case("redirect", "r1", None, Some(Status::Found)),
+            case("sieve hit", "r1", Some("sieve"), None),
+            Case {
+                warm: true,
+                ..case("cache hit", "r1", Some("good"), None)
+            },
+            case("AM permit", "r1", Some("good"), None),
+            case("AM deny", "r1", Some("deny"), Some(Status::Forbidden)),
+            case("AM 401", "r1", Some("expired"), Some(Status::Unauthorized)),
+            case("AM malformed", "r1", Some("odd"), Some(Status::Unavailable)),
+            Case {
+                am_offline: true,
+                ..case(
+                    "AM unreachable",
+                    "r1",
+                    Some("good"),
+                    Some(Status::Unavailable),
+                )
+            },
+        ];
+        type Verdict = Option<Response>;
+        let run = |case: &Case, batched: bool| -> (Verdict, Vec<HostLogEntry>, PepStats) {
             let net = SimNet::new();
             let am = FakeAm::new();
             am.grant("good", &permit_body(60_000, 1));
+            am.grant("deny", "{\"decision\":\"deny\",\"reason\":\"no\"}");
+            am.grant("odd", "certainly! \"permit\" granted");
             net.register(am.clone());
             let h = delegated_host(&net);
-            h.put_resource("r2", "bob", "file", b"data".to_vec())
+            h.put_resource("legacy", "dave", "file", b"data".to_vec())
                 .unwrap();
-            h.set_decision_batching(batching);
-            let attempts = vec![
-                read_attempt("req", "r1", "good"),
-                read_attempt("req", "r2", "good"),
-            ];
-            let grants = h
-                .enforce_batch(&net, &attempts)
-                .iter()
-                .filter(|e| e.is_grant())
-                .count();
-            (grants, net.stats().edge("h.example", "am.example"))
+            assert!(h.install_sieve(&sieve_of(1, 60_000, &[("sieve", "r1", "read", "req")])));
+            let attempt = AccessAttempt {
+                subject: case.subject.map(str::to_owned),
+                bearer: case.bearer.map(str::to_owned),
+                ..read_attempt("req", case.resource, "")
+            };
+            let enforce = || {
+                h.enforce(
+                    &net,
+                    &attempt.requester,
+                    attempt.subject.as_deref(),
+                    &attempt.resource_id,
+                    &attempt.action,
+                    attempt.bearer.as_deref(),
+                    &attempt.return_url,
+                )
+            };
+            if case.warm {
+                enforce();
+            }
+            net.set_offline("am.example", case.am_offline);
+            h.reset_stats();
+            let logged = h.log().len();
+            // No deadline wait, which would (rightly) stamp a batched
+            // decision later than a single one.
+            let config = BatchConfig {
+                max_batch: 8,
+                max_delay_ms: 0,
+            };
+            let verdict = if batched {
+                let mut verdicts = h.enforce_batch(&net, std::slice::from_ref(&attempt), config);
+                verdicts.pop().expect("one verdict per attempt")
+            } else {
+                enforce()
+            };
+            let verdict = match verdict {
+                Enforcement::Grant => None,
+                Enforcement::Block(resp) => Some(resp),
+            };
+            let stats = PepStats {
+                batch_flushes: 0,
+                ..h.stats()
+            };
+            (verdict, h.log().split_off(logged), stats)
         };
-        // Off: one round trip per miss, bit-identical to serial enforce().
-        assert_eq!(run(None), (2, 2));
-        // On with a roomy batch: the same round costs one round trip.
-        assert_eq!(run(Some(BatchConfig::default())), (2, 1));
+        for case in &cases {
+            let single = run(case, false);
+            assert_eq!(
+                single.0.as_ref().map(|resp| resp.status),
+                case.expect,
+                "{}",
+                case.label
+            );
+            let batched = run(case, true);
+            assert_eq!(batched, single, "{}", case.label);
+        }
     }
 
     #[test]
@@ -3807,10 +3600,6 @@ mod tests {
                 delegation_id: "d-2".into(),
             },
         );
-        h.set_decision_batching(Some(BatchConfig {
-            max_batch: 8,
-            max_delay_ms: 7,
-        }));
         let before = net.clock().now_ms();
         let results = h.enforce_batch(
             &net,
@@ -3818,6 +3607,10 @@ mod tests {
                 read_attempt("req", "r1", "good"),
                 read_attempt("req", "r2", "good"),
             ],
+            BatchConfig {
+                max_batch: 8,
+                max_delay_ms: 7,
+            },
         );
         assert!(results.iter().all(Enforcement::is_grant));
         // Two partial batches (one per AM) wait out the deadline
@@ -3835,13 +3628,13 @@ mod tests {
         let h = delegated_host(&net);
         h.put_resource("r2", "bob", "file", b"data".to_vec())
             .unwrap();
-        h.set_decision_batching(Some(BatchConfig::default()));
         let results = h.enforce_batch(
             &net,
             &[
                 read_attempt("req", "r1", "good"),
                 read_attempt("req", "r2", "expired"),
             ],
+            BatchConfig::default(),
         );
         assert!(results[0].is_grant());
         match &results[1] {
@@ -3974,10 +3767,6 @@ mod tests {
                     },
                 ),
         );
-        h.set_decision_batching(Some(BatchConfig {
-            max_batch: 8,
-            max_delay_ms: 7,
-        }));
         net.set_offline("am.example", true);
         net.set_offline("am-b.example", true);
         let before = net.clock().now_ms();
@@ -3987,6 +3776,10 @@ mod tests {
                 read_attempt("req", "r1", "tok-bob"),
                 read_attempt("req", "r2", "tok-carol"),
             ],
+            BatchConfig {
+                max_batch: 8,
+                max_delay_ms: 7,
+            },
         );
         assert!(results.iter().all(Enforcement::is_grant));
         // One 7 ms deadline charge for both chunks, despite two distinct
@@ -4413,7 +4206,6 @@ mod tests {
         let h = delegated_host(&net);
         h.put_resource("r2", "bob", "file", b"data".to_vec())
             .unwrap();
-        h.set_decision_batching(Some(BatchConfig::default()));
         assert!(h.install_sieve(&sieve_of(
             1,
             60_000,
@@ -4425,6 +4217,7 @@ mod tests {
                 read_attempt("req", "r1", "tok"),
                 read_attempt("req", "r2", "tok"),
             ],
+            BatchConfig::default(),
         );
         assert!(results.iter().all(Enforcement::is_grant));
         assert_eq!(net.stats().edge("h.example", "am.example"), 0);

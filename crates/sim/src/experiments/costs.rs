@@ -13,7 +13,7 @@ use std::sync::Arc;
 use ucam_am::{Account, AuthorizationManager, AuthorizeOutcome, AuthorizeRequest};
 use ucam_baselines::siloed::SiloedWorld;
 use ucam_baselines::{authz_state, oauth10a, wrap, FlowCosts};
-use ucam_host::{AccessAttempt, BatchConfig, DelegationConfig, HostCore};
+use ucam_host::{AccessAttempt, BatchConfig, DelegationConfig, Enforcement, HostCore};
 use ucam_policy::{Action, PolicyBody, ResourceRef, Rule, RulePolicy, Subject};
 use ucam_webenv::{LatencyModel, SimNet, Url};
 
@@ -126,7 +126,8 @@ pub struct BatchRow {
 
 /// Builds a Host + real AM rig with `n` delegated, permit-all-read
 /// resources and one pre-authorized bearer token per resource, then
-/// replays the same cold burst through [`HostCore::enforce_batch`].
+/// replays the same cold burst through [`HostCore::enforce_batch`] — or,
+/// with `batch` off, through [`HostCore::enforce`] one access at a time.
 fn batched_burst(n: usize, batch: Option<BatchConfig>) -> BatchRow {
     const HOST: &str = "batch-host.example";
     const AM: &str = "batch-am.example";
@@ -194,12 +195,27 @@ fn batched_burst(n: usize, batch: Option<BatchConfig>) -> BatchRow {
         });
     }
 
-    core.set_decision_batching(batch);
     net.reset_stats();
     let before_ms = clock.now_ms();
-    let results = core.enforce_batch(&net, &attempts);
+    let results: Vec<Enforcement> = match batch {
+        Some(config) => core.enforce_batch(&net, &attempts, config),
+        None => attempts
+            .iter()
+            .map(|a| {
+                core.enforce(
+                    &net,
+                    &a.requester,
+                    a.subject.as_deref(),
+                    &a.resource_id,
+                    &a.action,
+                    a.bearer.as_deref(),
+                    &a.return_url,
+                )
+            })
+            .collect(),
+    };
     assert!(
-        results.iter().all(ucam_host::Enforcement::is_grant),
+        results.iter().all(Enforcement::is_grant),
         "every pre-authorized access must be granted"
     );
 
